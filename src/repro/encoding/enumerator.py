@@ -15,8 +15,8 @@ from typing import Iterator, Sequence
 from repro.distributed.event import Event
 from repro.distributed.hb import HappenedBefore, HappenedBeforeView
 from repro.encoding.cut_encoder import encode_segment, timestamp_domain
-from repro.encoding.trace_extractor import build_trace, model_to_trace
-from repro.mtl.trace import TimedTrace
+from repro.encoding.trace_extractor import cut_states, model_to_trace
+from repro.mtl.trace import State, TimedTrace
 from repro.progression.budget import Budget
 from repro.solver.engine import Solver
 
@@ -143,7 +143,11 @@ def _enumerate_dfs(
     max_time = [max(d) for d in domains]
     produced = 0
 
-    chosen_order: list[tuple[Event, int]] = []
+    # A state is a function of the cut, not of the path to it: one State
+    # per reachable cut, shared by every trace that passes through it.
+    state_of = cut_states(events, base_valuation, frontier_props)
+    states: list[State] = []
+    times: list[int] = []
 
     def recurse(chosen_mask: int, last_time: int) -> Iterator[TimedTrace]:
         nonlocal produced
@@ -151,9 +155,9 @@ def _enumerate_dfs(
             budget.step()
         if limit is not None and produced >= limit:
             return
-        if len(chosen_order) == n:
+        if len(times) == n:
             produced += 1
-            yield build_trace(chosen_order, base_valuation, frontier_props)
+            yield TimedTrace(states, times)
             return
         # Dead-branch pruning: every unchosen event must still be able to
         # take a timestamp >= last_time.
@@ -166,12 +170,16 @@ def _enumerate_dfs(
                 continue
             if hb.predecessors_mask(i) & ~chosen_mask:
                 continue  # a happened-before predecessor is not in the cut yet
+            extended = chosen_mask | bit
+            state = state_of(extended)
             for timestamp in domains[i]:
                 if timestamp < last_time:
                     continue
-                chosen_order.append((events[i], timestamp))
-                yield from recurse(chosen_mask | bit, timestamp)
-                chosen_order.pop()
+                states.append(state)
+                times.append(timestamp)
+                yield from recurse(extended, timestamp)
+                states.pop()
+                times.pop()
                 if limit is not None and produced >= limit:
                     return
 
@@ -185,9 +193,11 @@ def _enumerate_dfs(
         if max_time[i] < 0:
             return
     for i, timestamp in root_branches:
-        chosen_order.append((events[i], timestamp))
+        states.append(state_of(1 << i))
+        times.append(timestamp)
         yield from recurse(1 << i, timestamp)
-        chosen_order.pop()
+        states.pop()
+        times.pop()
         if limit is not None and produced >= limit:
             return
 

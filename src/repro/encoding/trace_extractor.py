@@ -16,7 +16,7 @@ each event's ``deltas`` — this is what the blockchain payoff predicates
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.distributed.event import Event
 from repro.mtl.trace import State, TimedTrace
@@ -53,6 +53,73 @@ def build_trace(
         states.append(State(props, snapshot))
         times.append(timestamp)
     return TimedTrace(states, times)
+
+
+def cut_states(
+    events: Sequence[Event],
+    base_valuation: Mapping[str, float] | None = None,
+    frontier_props: Mapping[str, frozenset[str]] | None = None,
+) -> Callable[[int], State]:
+    """The state of a consistent cut, as a memoized function of its mask.
+
+    Bit ``i`` of a mask stands for ``events[i]``.  The state after a trace
+    prefix depends only on *which* events the prefix holds, never on their
+    order: the frontier is each process's last event in program order
+    (happened-before contains program order, so the last of a process in
+    trace order is its highest ``seq`` in the cut) and the valuation is a
+    sum over the cut.  The DFS enumerator therefore builds one
+    :class:`State` per reachable cut and every trace of the segment shares
+    those objects — equal, state for state, to :func:`build_trace` on the
+    same choices.
+
+    Deltas are summed in ascending event index from ``base_valuation``
+    (the order :func:`segment_carry` folds them in), whatever order a
+    trace adds the events: exact for integer deltas, and for float deltas
+    the one canonical rounding every trace through the cut sees.
+    """
+    base = dict(base_valuation) if base_valuation else {}
+    # Per process, latest event first: (bit, props).  What an earlier
+    # segment left on a process's frontier comes last, under the mask
+    # with every bit set: it is in every (non-empty) cut.
+    in_every_cut = -1
+    by_process: dict[str, list[tuple[int, frozenset[str]]]] = {}
+    for index in sorted(range(len(events)), key=lambda i: events[i].seq, reverse=True):
+        event = events[index]
+        by_process.setdefault(event.process, []).append((1 << index, event.props))
+    for process, props in (frontier_props or {}).items():
+        by_process.setdefault(process, []).append((in_every_cut, props))
+    frontiers = list(by_process.values())
+    with_deltas = [(1 << i, event.deltas) for i, event in enumerate(events) if event.deltas]
+    delta_mask = sum(bit for bit, _ in with_deltas)
+    valuations: dict[int, Mapping[str, float]] = {}
+    states: dict[int, State] = {}
+
+    def valuation_of(delta_bits: int) -> Mapping[str, float]:
+        snapshot = valuations.get(delta_bits)
+        if snapshot is None:
+            accumulator = dict(base)
+            for bit, deltas in with_deltas:
+                if delta_bits & bit:
+                    for key, delta in deltas.items():
+                        accumulator[key] = accumulator.get(key, 0) + delta
+            snapshot = valuations[delta_bits] = MappingProxyType(accumulator)
+        return snapshot
+
+    def state_of(mask: int) -> State:
+        state = states.get(mask)
+        if state is None:
+            parts = []
+            for latest_first in frontiers:
+                for bit, props in latest_first:
+                    if mask & bit:
+                        parts.append(props)
+                        break
+            state = states[mask] = State(
+                frozenset().union(*parts), valuation_of(mask & delta_mask)
+            )
+        return state
+
+    return state_of
 
 
 def segment_carry(

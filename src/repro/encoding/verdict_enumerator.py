@@ -233,6 +233,9 @@ def stream_segment_outcomes(
     supplies ``max_traces`` when the keyword is omitted.
     ``root_branches`` restricts the DFS to the given root choices (see
     :func:`~repro.encoding.enumerator.root_frontier`).
+
+    An empty ``carried`` yields one empty outcome (``traces_enumerated ==
+    0``, no flag set) without enumerating anything.
     """
     if budget is not None and max_traces is None:
         max_traces = budget.trace_limit()
@@ -241,6 +244,11 @@ def stream_segment_outcomes(
     # Interned carried residuals: structurally equal residuals collapse
     # to one (id, count) column entry up front.
     pairs = _carried_pairs(carried)
+    if not pairs:
+        # Nothing carried, nothing to progress: every verdict is already
+        # decided, so the segment's traces are not worth enumerating.
+        yield outcome
+        return
 
     def traces():
         return enumerate_traces(

@@ -23,6 +23,7 @@ from repro.distributed.computation import DistributedComputation
 from repro.encoding.trace_extractor import segment_carry
 from repro.encoding.verdict_enumerator import (
     DEFAULT_TRACE_BUDGET,
+    SegmentOutcome,
     enumerate_segment_outcomes,
 )
 from repro.errors import MonitorError, PreemptedError
@@ -167,21 +168,27 @@ class OnlineMonitor:
         ready.sort(key=lambda e: (e[1], e[0]))
         for process, local_time, props, deltas in ready:
             computation.add_event(process, local_time, props, deltas)
-        hb = computation.happened_before()
-        outcome = enumerate_segment_outcomes(
-            hb,
-            self._epsilon,
-            self._carried,
-            self._anchor,
-            boundary=boundary,
-            clamp_lo=None if not self._first_segment_done else self._frontier,
-            clamp_hi=boundary,
-            max_traces=self._max_traces,
-            backend=self._backend,
-            base_valuation=self._base_valuation,
-            frontier_props=self._frontier_props,
-            budget=budget,
-        )
+        if self._carried:
+            outcome = enumerate_segment_outcomes(
+                computation.happened_before(),
+                self._epsilon,
+                self._carried,
+                self._anchor,
+                boundary=boundary,
+                clamp_lo=None if not self._first_segment_done else self._frontier,
+                clamp_hi=boundary,
+                max_traces=self._max_traces,
+                backend=self._backend,
+                base_valuation=self._base_valuation,
+                frontier_props=self._frontier_props,
+                budget=budget,
+            )
+        else:
+            # Every verdict is decided: the outcome is empty whatever the
+            # traces are, so neither they nor the happened-before closure
+            # are built.  The events are still consumed, reported and
+            # folded into the carry below.
+            outcome = SegmentOutcome()
         if outcome.preempted:
             # Raise before any state mutation: the caller rolls the buffer
             # back and the stream stays exactly where it was.

@@ -91,6 +91,16 @@ _PLAN_CACHE_LIMIT = 256
 _PLAN_LOCK = threading.Lock()
 _PLAN_STATS = {"hits": 0, "misses": 0}
 
+#: Cells one kernel's suffix cache may hold; past it columns are computed
+#: but no longer kept.  A stored suffix is charged one cell per plan node
+#: (its column of result ids) plus a flat ``_ENTRY_CELLS`` for its key,
+#: dict slot and pinned state (~250 bytes measured), so the bound holds
+#: for narrow plans over many traces as well as for wide columns.  At 8
+#: bytes a cell this is ~4 MiB for the one kernel a segment has, whatever
+#: the trace budget and column width.
+_MAX_CACHED_CELLS = 1 << 19
+_ENTRY_CELLS = 32
+
 
 def _shared_plan(roots_key: tuple[int, ...], shift: int, compile_fn):
     key = (roots_key, shift)
@@ -136,9 +146,31 @@ class ColumnarSegmentProgressor:
     reused for every trace the segment enumerates.  Anchor-shift results
     and compiled plans are memoized per distinct shift ``d`` (traces of
     a segment share a handful of start times).
+
+    Kernel rows are shared across the traces as well.  ``res[node, i]``
+    reads the trace only from position ``i`` on — the suffix's states,
+    its timestamps, and the boundary — so two traces that end in the
+    same suffix have the same rows there.  Suffixes are hash-consed back
+    to front into small ints, and the column of result ids of every
+    suffix a pass computed is kept for the kernel's lifetime; a later
+    trace computes only the positions before its longest known suffix.
+    A state is keyed by identity (the enumerator hands every trace
+    through one cut the same :class:`~repro.mtl.trace.State`) and pinned
+    by the table, so a key can never outlive the object it names.
     """
 
-    __slots__ = ("_pairs", "_roots_key", "_shift_memo", "_plans")
+    __slots__ = (
+        "_pairs",
+        "_roots_key",
+        "_shift_memo",
+        "_plans",
+        "_suffix_ids",
+        "_pinned_states",
+        "_columns",
+        "_cached_cells",
+        "_columns_reused",
+        "_columns_computed",
+    )
 
     def __init__(self, pairs: list[tuple[int, int]]) -> None:
         self._pairs = pairs
@@ -147,6 +179,33 @@ class ColumnarSegmentProgressor:
         #: shift -> (programs, root plan positions) — a per-instance view
         #: of the process-wide :data:`_PLAN_CACHE` (no lock per trace).
         self._plans: dict[int, tuple[list[tuple], list[int]]] = {}
+        #: (id(state), time, what follows) -> suffix id, where what follows
+        #: is the next suffix's id or, after the last position, the
+        #: (shift, boundary) pair — so an id names plan and boundary too.
+        self._suffix_ids: dict[tuple, int] = {}
+        #: suffix id -> its column: one result id per plan node.
+        self._columns: list[tuple[int, ...]] = []
+        #: The first state of every stored suffix, kept alive so that its
+        #: ``id()`` stays its own for as long as a key holds it.
+        self._pinned_states: list = []
+        self._cached_cells = 0
+        self._columns_reused = 0
+        self._columns_computed = 0
+
+    @property
+    def columns_reused(self) -> int:
+        """(trace, position) columns served from an earlier trace's pass."""
+        return self._columns_reused
+
+    @property
+    def columns_computed(self) -> int:
+        """(trace, position) columns the node loops had to compute."""
+        return self._columns_computed
+
+    @property
+    def cached_cells(self) -> int:
+        """Cells charged to the suffix cache (at most the fixed cap)."""
+        return self._cached_cells
 
     # -- anchor shift (id level) ------------------------------------------------
 
@@ -274,6 +333,11 @@ class ColumnarSegmentProgressor:
         column (one entry per root, counts passed through).  ``budget``
         (a :class:`~repro.progression.budget.Budget`) is stepped once per
         program row so a cancel lands within one checkpoint interval.
+
+        Positions whose suffix (states, times, under this ``shift`` and
+        ``boundary``) an earlier trace already went through are served
+        from the kernel's suffix cache; the result is the same either
+        way.  The cache is written only after the pass completes.
         """
         plan = self._plans.get(shift)
         if plan is None:
@@ -283,9 +347,31 @@ class ColumnarSegmentProgressor:
         if budget is not None:
             budget.step(len(programs))
         times = trace.times
+        states = trace.states
         n = len(times)
-        res = [0] * (len(programs) * n)
-        positions = range(n)
+        width = len(programs)
+        res = [0] * (width * n)
+
+        # Walk the suffixes back to front for as long as an earlier pass
+        # left their columns behind, prefilling those positions; what is
+        # left to compute is a prefix, range(fresh).  ``link`` names the
+        # suffix that follows position i: after the last position, the
+        # (shift, boundary) the rows are computed under.
+        suffix_ids = self._suffix_ids
+        columns = self._columns
+        link: tuple[int, int] | int = (shift, boundary)
+        fresh = n
+        for i in range(n - 1, -1, -1):
+            sid = suffix_ids.get((id(states[i]), times[i], link))
+            if sid is None:
+                break
+            res[i::n] = columns[sid]
+            link = sid
+            fresh = i
+        self._columns_reused += n - fresh
+        self._columns_computed += fresh
+
+        positions = range(fresh)
         windows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         props_by_pos: list[frozenset[str]] | None = None
         valuation_by_pos = None
@@ -300,8 +386,8 @@ class ColumnarSegmentProgressor:
             cached = windows.get((lo_bound, hi_bound))
             if cached is not None:
                 return cached
-            wlo = [0] * n
-            whi = [0] * n
+            wlo = [0] * fresh
+            whi = [0] * fresh
             for i in positions:
                 base_time = times[i]
                 low = bisect_left(times, base_time + lo_bound, i)
@@ -318,7 +404,7 @@ class ColumnarSegmentProgressor:
             base = idx * n
             if kind == KIND_ATOM:
                 if props_by_pos is None:
-                    props_by_pos = [trace.state(i).props for i in positions]
+                    props_by_pos = [states[i].props for i in positions]
                 for i in positions:
                     res[base + i] = TRUE_ID if payload in props_by_pos[i] else FALSE_ID
             elif kind == KIND_NOT:
@@ -360,36 +446,58 @@ class ColumnarSegmentProgressor:
                 wlo, whi = window(iv_lo, iv_hi)
                 for i in positions:
                     remaining = boundary - times[i]
+                    tail_due = iv_hi == IV_INF or iv_hi > remaining
                     disjuncts: list[int] = []
                     left_so_far: list[int] = []
                     lo_w = wlo[i]
                     hi_w = whi[i]
-                    for j in range(i, n):
+                    # Past the window only the tail residual still reads
+                    # the left operands, and one false left operand folds
+                    # every later disjunct (the tail included) to false,
+                    # which id_lor would drop: stop there.
+                    for j in range(i, n if tail_due else hi_w):
                         if lo_w <= j < hi_w:
-                            disjuncts.append(
-                                id_land(left_so_far + [res[rbase + j]])
-                            )
-                        left_so_far.append(res[lbase + j])
-                    if iv_hi == IV_INF or iv_hi > remaining:
-                        s_lo = iv_lo - remaining
-                        if s_lo < 0:
-                            s_lo = 0
-                        s_hi = IV_INF if iv_hi == IV_INF else iv_hi - remaining
-                        disjuncts.append(
-                            id_land(
-                                left_so_far + [id_until(left, right, s_lo, s_hi)]
-                            )
-                        )
+                            left_so_far.append(res[rbase + j])
+                            disjuncts.append(id_land(left_so_far))
+                            left_so_far.pop()
+                        held = res[lbase + j]
+                        if held == FALSE_ID:
+                            break
+                        left_so_far.append(held)
+                    else:
+                        if tail_due:
+                            s_lo = iv_lo - remaining
+                            if s_lo < 0:
+                                s_lo = 0
+                            s_hi = IV_INF if iv_hi == IV_INF else iv_hi - remaining
+                            left_so_far.append(id_until(left, right, s_lo, s_hi))
+                            disjuncts.append(id_land(left_so_far))
                     res[base + i] = id_lor(disjuncts)
             elif kind == KIND_PRED:
                 if valuation_by_pos is None:
-                    valuation_by_pos = [trace.state(i).valuation for i in positions]
+                    valuation_by_pos = [states[i].valuation for i in positions]
                 for i in positions:
                     res[base + i] = (
                         TRUE_ID if payload(valuation_by_pos[i]) else FALSE_ID
                     )
             else:  # constants: payload is the id itself
-                res[base : base + n] = [payload] * n
+                res[base : base + fresh] = [payload] * fresh
+
+        # The pass is complete: keep its columns, latest position first
+        # (so a known suffix always has its own suffixes known), until the
+        # cell budget is spent — after that nothing more is kept; results
+        # are the same, later traces just compute more.
+        cost = width + _ENTRY_CELLS
+        for i in range(fresh - 1, -1, -1):
+            if self._cached_cells + cost > _MAX_CACHED_CELLS:
+                break
+            state = states[i]
+            sid = len(columns)
+            suffix_ids[(id(state), times[i], link)] = sid
+            link = sid
+            columns.append(tuple(res[i::n]))
+            self._pinned_states.append(state)
+            self._cached_cells += cost
         return [
             (res[pos * n], count)
             for pos, (_, count) in zip(root_positions, self._pairs)

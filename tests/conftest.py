@@ -83,8 +83,12 @@ def timed_traces(min_length: int = 1, max_length: int = 6) -> st.SearchStrategy[
     )
 
 
-def small_computations() -> st.SearchStrategy[DistributedComputation]:
-    """Random 2-process computations small enough to enumerate exhaustively."""
+def small_computations(deltas: bool = False) -> st.SearchStrategy[DistributedComputation]:
+    """Random 2-process computations small enough to enumerate exhaustively.
+
+    With ``deltas``, about half the events also move the numeric variable
+    ``x`` by a small integer (what predicate atoms evaluate against).
+    """
 
     def build(seed: int, epsilon: int, counts: tuple[int, int]) -> DistributedComputation:
         rng = random.Random(seed)
@@ -93,7 +97,8 @@ def small_computations() -> st.SearchStrategy[DistributedComputation]:
             t = rng.randrange(0, 3)
             for _ in range(count):
                 props = [name for name in ("a", "b") if rng.random() < 0.5]
-                computation.add_event(process, t, props)
+                moved = {"x": rng.randrange(-2, 4)} if deltas and rng.random() < 0.5 else None
+                computation.add_event(process, t, props, moved)
                 t += rng.randrange(1, 4)
         return computation
 

@@ -1,10 +1,14 @@
 """Tests for segment trace enumeration — DFS vs the paper-literal CSP."""
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 
 from repro.distributed.computation import DistributedComputation
 from repro.encoding.cut_encoder import timestamp_domain
 from repro.encoding.enumerator import count_traces, enumerate_traces
+from repro.encoding.trace_extractor import build_trace, segment_carry
 from repro.mtl.trace import TimedTrace
 
 from tests.conftest import small_computations
@@ -110,3 +114,76 @@ class TestBackendAgreement:
         sampled = set(enumerate_traces(hb, comp.epsilon, timestamp_samples=2))
         assert sampled <= full
         assert sampled
+
+
+def _admissible_choices(hb, epsilon, clamp_lo=None, clamp_hi=None):
+    """Every ordered ``(event, timestamp)`` choice the segment admits: a
+    plain walk over linear extensions x non-decreasing timestamps."""
+    events = hb.events
+    domains = [timestamp_domain(e, epsilon, clamp_lo, clamp_hi).values for e in events]
+
+    def extend(chosen, mask, last):
+        if len(chosen) == len(events):
+            yield list(chosen)
+            return
+        for i, event in enumerate(events):
+            if mask >> i & 1 or hb.predecessors_mask(i) & ~mask:
+                continue
+            for timestamp in domains[i]:
+                if timestamp >= last:
+                    chosen.append((event, timestamp))
+                    yield from extend(chosen, mask | 1 << i, timestamp)
+                    chosen.pop()
+
+    yield from extend([], 0, 0)
+
+
+class TestStatesPerCut:
+    """The DFS builds one State per cut; ``build_trace`` folds them per
+    trace.  Same traces, state for state."""
+
+    CONTEXT = dict(
+        base_valuation={"x": 1, "y": 7},
+        frontier_props={"P2": frozenset({"c"}), "P9": frozenset({"q"})},
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_computations(deltas=True))
+    def test_every_trace_is_build_trace_on_the_same_choices(self, comp):
+        hb = comp.happened_before()
+        lo, hi = comp.local_span()
+        for window in ({}, {"clamp_lo": lo, "clamp_hi": hi + 1}):
+            for context in ({}, self.CONTEXT):
+                enumerated = Counter(enumerate_traces(hb, comp.epsilon, **window, **context))
+                rebuilt = Counter(
+                    build_trace(choice, **context)
+                    for choice in _admissible_choices(hb, comp.epsilon, **window)
+                )
+                assert enumerated == rebuilt  # integer deltas: exact equality
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_computations(deltas=True))
+    def test_traces_share_one_state_object_per_cut(self, comp):
+        traces = list(enumerate_traces(comp.happened_before(), comp.epsilon, **self.CONTEXT))
+        shared = {id(state) for trace in traces for state in trace.states}
+        assert len(shared) <= 2 ** len(comp) - 1
+        assert len({id(trace.states[-1]) for trace in traces}) == 1  # the full cut
+
+    def test_float_deltas_sum_in_event_order_on_every_trace(self):
+        """0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1, and the
+        three events are concurrent: whatever order a trace takes them in,
+        the state of a cut carries the sum in ascending event index — the
+        value ``segment_carry`` hands the next segment."""
+        comp = DistributedComputation(3)
+        for process, amount in (("P1", 0.1), ("P2", 0.2), ("P3", 0.3)):
+            comp.add_event(process, 5, (), {"paid": amount})
+        hb = comp.happened_before()
+        carried, _ = segment_carry(hb.events)
+        assert carried["paid"] == (0.1 + 0.2) + 0.3 != 0.3 + 0.2 + 0.1
+        traces = list(enumerate_traces(hb, 3))
+        assert len({id(trace.states[0]) for trace in traces}) == 3  # all orders occur
+        for trace in traces:
+            assert trace.states[-1].valuation["paid"] == carried["paid"]
+        for choice in _admissible_choices(hb, 3):
+            folded = build_trace(choice).states[-1].valuation["paid"]
+            assert folded == pytest.approx(carried["paid"])

@@ -104,6 +104,22 @@ class TestStreaming:
         assert final.residuals == drained.residuals
         assert final.traces_enumerated == drained.traces_enumerated == 130
 
+    def test_empty_column_yields_one_empty_outcome_without_enumerating(self):
+        from repro.encoding.verdict_enumerator import stream_segment_outcomes
+
+        class Untouchable:
+            """Any use of the happened-before argument is an error."""
+
+            def __getattr__(self, name):
+                raise AssertionError(f"enumerator touched hb.{name}")
+
+        for carried in ({}, []):
+            (outcome,) = stream_segment_outcomes(
+                Untouchable(), 2, carried, None, boundary=7, max_traces=1, saturate_final=True
+            )
+            assert outcome.traces_enumerated == 0 and outcome.distinct == 0
+            assert not (outcome.truncated or outcome.saturated or outcome.preempted)
+
     def test_stream_counts_grow_monotonically(self):
         from repro.encoding.verdict_enumerator import stream_segment_outcomes
 

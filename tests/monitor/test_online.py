@@ -1,5 +1,7 @@
 """Tests for the online (streaming) monitor."""
 
+import pickle
+
 import pytest
 
 from repro.distributed.computation import DistributedComputation
@@ -277,3 +279,95 @@ class TestSnapshotRestore:
         snapshot["version"] = 99
         with pytest.raises(MonitorError, match="version 99"):
             OnlineMonitor.restore(snapshot)
+
+
+class TestDecidedStream:
+    """Nothing carried, nothing enumerated: once every verdict is in, a
+    segment is consumed without its traces or its happened-before
+    closure — and nothing a caller can observe moves.
+
+    The twin carries ``spec & G !never``: the same verdicts, but a
+    residual that stays undecided to the end, so it walks every segment
+    the full way.
+    """
+
+    SPEC = "F[0,2) b"
+    STREAM = [
+        ("P1", 1, "a", None), ("P2", 2, "b", {"paid": 2}), ("P1", 3, (), None),
+        ("P1", 11, "a", {"paid": 1}), ("P2", 12, (), None), ("P2", 14, "b", None),
+        ("P1", 21, (), None), ("P2", 22, "a", {"paid": 4}), ("P1", 24, "b", None),
+    ]
+    BOUNDARIES = (10, 20)
+
+    def _drive(self, monitor, migrate_at=None):
+        contexts = []
+        for process, t, props, deltas in self.STREAM:
+            for boundary in self.BOUNDARIES:
+                if monitor.frontier < boundary <= t:
+                    monitor.advance_to(boundary)
+                    snapshot = monitor.snapshot()
+                    contexts.append((snapshot["base_valuation"], snapshot["frontier_props"]))
+                    if boundary == migrate_at:
+                        monitor = OnlineMonitor.restore(pickle.loads(pickle.dumps(snapshot)))
+            monitor.observe(process, t, props, deltas)
+        return monitor, contexts
+
+    def test_decided_segments_are_consumed_but_not_enumerated(self):
+        monitor, _ = self._drive(OnlineMonitor(parse(self.SPEC), epsilon=2))
+        assert monitor.undecided_residuals == 0  # decided in the first segment
+        result = monitor.finish()
+        first, *later = result.segment_reports
+        assert first.traces_enumerated > 0
+        assert [report.events for report in later] == [3, 3]
+        assert [report.traces_enumerated for report in later] == [0, 0]
+        assert not any(report.truncated for report in later)
+        assert monitor.events_consumed == len(self.STREAM)
+
+    def test_unchanged_against_a_twin_that_still_carries_a_residual(self):
+        decided, contexts = self._drive(OnlineMonitor(parse(self.SPEC), epsilon=2))
+        twin, twin_contexts = self._drive(
+            OnlineMonitor(parse(f"({self.SPEC}) & G !never"), epsilon=2)
+        )
+        assert twin.undecided_residuals > 0
+        # The carry into each next segment is folded either way.
+        assert contexts == twin_contexts
+        result, reference = decided.finish(), twin.finish()
+        assert result.verdicts == reference.verdicts == {True, False}
+        assert result.exhaustive and reference.exhaustive
+        # The twin's surviving residual is multiplied by every later
+        # segment's trace count; what was decided early is not.
+        assert result.verdict_counts[False] == reference.verdict_counts[False]
+        factor = 1
+        for report in reference.segment_reports[1:]:
+            factor *= report.traces_enumerated
+        assert result.verdict_counts[True] * factor == reference.verdict_counts[True]
+        assert [r.events for r in result.segment_reports] == [
+            r.events for r in reference.segment_reports
+        ]
+
+    def test_snapshot_restore_continue_is_unchanged(self):
+        expected = self._drive(OnlineMonitor(parse(self.SPEC), epsilon=2))[0].finish()
+        for boundary in self.BOUNDARIES:
+            migrated, _ = self._drive(
+                OnlineMonitor(parse(self.SPEC), epsilon=2), migrate_at=boundary
+            )
+            result = migrated.finish()
+            assert result.verdict_counts == expected.verdict_counts
+            assert result.exhaustive == expected.exhaustive
+            assert [(r.events, r.traces_enumerated) for r in result.segment_reports] == [
+                (r.events, r.traces_enumerated) for r in expected.segment_reports
+            ]
+
+    def test_a_decided_stream_is_no_longer_flagged_truncated(self):
+        """The blowup segment of ``test_default_budget_tames_the_roadmap_
+        blowup`` costs nothing, and loses nothing, once the verdict is in."""
+        monitor = OnlineMonitor(parse("F[0,30) b"), epsilon=2, max_traces_per_segment=50)
+        monitor.observe("P1", 1, "b")
+        monitor.advance_to(4)
+        assert monitor.undecided_residuals == 0
+        for t in range(5, 13):
+            monitor.observe("P1", t, "a")
+            monitor.observe("P2", t, "a")
+        result = monitor.finish()
+        assert result.exhaustive
+        assert result.segment_reports[-1].traces_enumerated == 0

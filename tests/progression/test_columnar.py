@@ -8,16 +8,19 @@ equal), because both paths intern into the same arena.
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MonitorError
 from repro.mtl import ast
 from repro.mtl.ast import formula_of, intern_formula
+from repro.mtl.trace import State, TimedTrace
 from repro.progression.columnar import ColumnarSegmentProgressor
 from repro.progression.progressor import anchor_shift, close, close_id, progress
 
-from tests.conftest import formulas, timed_traces
+from tests.conftest import ATOM_NAMES, formulas, intervals, timed_traces
 
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -33,6 +36,61 @@ def test_columnar_matches_object_progression(formula, trace, pad):
     expected = progress(trace, interned, boundary)
     assert count == 1
     assert formula_of(rid) is expected
+
+
+def _long_left_runs() -> st.SearchStrategy:
+    """Traces of 6-16 observations on which ``a`` holds three times out
+    of four: an until with ``a`` on the left scans far past its window
+    and meets the occasional false left operand."""
+
+    def build(held: list[bool], extra: list[set[str]], gaps: list[int], start: int):
+        states = [
+            State(frozenset(props | {"a"}) if keep else frozenset(props - {"a"}))
+            for keep, props in zip(held, extra)
+        ]
+        times = list(itertools.accumulate(gaps[: len(states) - 1], initial=start))
+        return TimedTrace(states, times)
+
+    return st.integers(6, 16).flatmap(
+        lambda n: st.builds(
+            build,
+            st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n),
+            st.lists(st.sets(st.sampled_from(ATOM_NAMES), max_size=2), min_size=n, max_size=n),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            st.integers(0, 5),
+        )
+    )
+
+
+@given(
+    left=st.one_of(st.just(ast.atom("a")), formulas(max_depth=1)),
+    right=formulas(max_depth=2),
+    window=intervals(max_bound=24),
+    inner=intervals(max_bound=6),
+    trace=_long_left_runs(),
+    pad=st.integers(0, 30),
+)
+@settings(max_examples=150, **_SETTINGS)
+def test_until_over_long_left_runs_matches_object_progression(
+    left, right, window, inner, trace, pad
+):
+    """The kernel's until scan stops at the first false left operand and,
+    with no tail residual due, at the window's end; the object walk scans
+    everything.  Same canonical residual either way — closed and open
+    windows, nested on either side, under negation."""
+    plain = ast.until(left, right, window)
+    shapes = [
+        plain,
+        ast.lnot(plain),
+        ast.until(ast.always(left, inner), right, window),
+        ast.until(left, ast.until(left, right, inner), window),
+        ast.land(plain, ast.eventually(right, inner)),
+    ]
+    boundary = trace.end_time + pad
+    pairs = [(intern_formula(shape)._intern_id, 1) for shape in shapes]
+    column = ColumnarSegmentProgressor(pairs).progress_trace(trace, 0, boundary)
+    for shape, (rid, _) in zip(shapes, column):
+        assert formula_of(rid) is progress(trace, intern_formula(shape), boundary)
 
 
 @given(

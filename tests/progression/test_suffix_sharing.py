@@ -1,0 +1,271 @@
+"""Suffix-shared kernel columns: one kernel per segment reuses rows
+across that segment's traces, and nothing observable may change.
+
+A row ``res[node, i]`` reads the trace from position ``i`` on (states,
+times) and the boundary, so the kernel keeps one column of result ids
+per distinct suffix.  These tests pin the three references the sharing
+must agree with — a fresh kernel per trace, the ``REPRO_COLUMNAR=0``
+object walk, and itself after a preempted pass — plus the cache's
+lifetime, cap and counters.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.distributed.computation import DistributedComputation
+from repro.encoding.enumerator import enumerate_traces, root_frontier
+from repro.encoding.verdict_enumerator import (
+    DEFAULT_TRACE_BUDGET,
+    enumerate_segment_outcomes,
+    partition_branches,
+)
+from repro.errors import PreemptedError
+from repro.mtl import ast, parse
+from repro.mtl.ast import formula_of, intern_formula
+from repro.progression import columnar
+from repro.progression.budget import Budget
+from repro.progression.columnar import ColumnarSegmentProgressor
+from repro.progression.progressor import TraceProgressor, anchor_shift
+
+from tests.conftest import formulas, intervals, small_computations
+from tests.monitor.test_differential import _columnar
+
+_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+#: Reads the cumulative valuation, so equal props with different sums of
+#: ``x`` must not be mistaken for the same state.
+GAIN = ast.PredicateAtom("x>=2", lambda valuation: valuation.get("x", 0) >= 2)
+
+#: What earlier segments left behind: a sum, a frontier the segment's own
+#: events override (P2) and one they never touch (P9).
+CONTEXT = dict(
+    base_valuation={"x": 1},
+    frontier_props={"P2": frozenset({"c"}), "P9": frozenset({"q"})},
+)
+
+
+def _column(f, g, window, reach) -> list[tuple[int, int]]:
+    """A carried column whose atoms all sit under a temporal operator (a
+    residual never holds a bare atom), with distinct counts per root."""
+    roots = [
+        ast.eventually(ast.land(f, GAIN), window),
+        ast.until(g, ast.lor(f, ast.lnot(GAIN)), reach),
+        ast.always(ast.lor(g, GAIN), window),
+    ]
+    return [(intern_formula(root)._intern_id, k + 1) for k, root in enumerate(roots)]
+
+
+def _object_walk(pairs, trace, shift, boundary) -> list[tuple[int, int]]:
+    walk = TraceProgressor(trace, boundary)
+    return [
+        (walk.progress(anchor_shift(formula_of(fid), shift), 0)._intern_id, count)
+        for fid, count in pairs
+    ]
+
+
+@given(
+    computation=small_computations(deltas=True),
+    f=formulas(max_depth=2),
+    g=formulas(max_depth=2),
+    window=intervals(),
+    reach=intervals(),
+    lead=st.integers(0, 3),
+    parts=st.integers(2, 3),
+)
+@settings(max_examples=40, **_SETTINGS)
+def test_shared_kernel_equals_kernel_per_trace_equals_object_walk(
+    computation, f, g, window, reach, lead, parts
+):
+    hb = computation.happened_before()
+    epsilon = computation.epsilon
+    traces = list(enumerate_traces(hb, epsilon, limit=200, **CONTEXT))
+    pairs = _column(f, g, window, reach)
+    # Traces start at different times, hence several anchor shifts; and
+    # some end past ``hi``, the last segment's ``boundary = end_time``.
+    anchor = min(trace.start_time for trace in traces) - lead
+    hi = min(trace.end_time for trace in traces)
+
+    shared = ColumnarSegmentProgressor(pairs)
+    for trace in traces:
+        shift = trace.start_time - anchor
+        # The same suffix under a later boundary is another row: one
+        # kernel serves both without mixing them up.
+        for boundary in (max(hi, trace.end_time), trace.end_time + 3):
+            column = shared.progress_trace(trace, shift, boundary)
+            assert column == ColumnarSegmentProgressor(pairs).progress_trace(
+                trace, shift, boundary
+            )
+            assert column == _object_walk(pairs, trace, shift, boundary)
+    assert shared.columns_reused + shared.columns_computed == 2 * sum(map(len, traces))
+
+    def outcome(**kwargs) -> dict[int, int]:
+        return enumerate_segment_outcomes(
+            hb, epsilon, pairs, anchor, hi, max_traces=200, **CONTEXT, **kwargs
+        ).id_counts()
+
+    whole = outcome()
+    with _columnar(False):
+        assert outcome() == whole
+    if len(traces) < 200:  # a truncated part keeps other traces than the whole
+        merged: Counter = Counter()
+        for group in partition_branches(root_frontier(hb, epsilon), parts):
+            merged.update(outcome(root_branches=group))
+        assert merged == whole
+
+
+def _chain_shaped_segment():
+    """Three chains, three events each, within each other's skew, three
+    timestamp samples an event, a 400-trace budget: the ``chain_logs``
+    shape (hundreds of traces, a handful of residuals)."""
+    computation = DistributedComputation.from_event_lists(
+        5,
+        {
+            "apr": [(10, "a"), (13, ()), (16, "a")],
+            "ban": [(11, ()), (14, "a"), (17, "b")],
+            "che": [(12, "b"), (15, ()), (18, "a")],
+        },
+    )
+    traces = list(
+        enumerate_traces(
+            computation.happened_before(), 5, limit=400, timestamp_samples=3
+        )
+    )
+    spec = parse("G[0,30) (a -> F[0,8) b) & (a U[0,25) b)")
+    return traces, [(intern_formula(spec)._intern_id, 1)]
+
+
+def test_most_columns_of_a_chain_shaped_segment_are_reused():
+    traces, pairs = _chain_shaped_segment()
+    assert len(traces) == 400
+    kernel = ColumnarSegmentProgressor(pairs)
+    for trace in traces:
+        kernel.progress_trace(trace, 0, trace.end_time)
+    total = kernel.columns_reused + kernel.columns_computed
+    assert total == sum(map(len, traces))
+    assert kernel.columns_reused / total >= 0.5
+    # Position 0 of a trace the kernel has not seen is always computed.
+    assert kernel.columns_computed >= len(traces)
+
+
+def test_nothing_is_reused_across_segments():
+    """The cache dies with the kernel, and a kernel fed a second
+    segment's traces finds none of the first one's suffixes in them."""
+    computation = DistributedComputation.from_event_lists(
+        2,
+        {
+            "P1": [(1, "a"), (3, ()), (11, "a"), (13, ())],
+            "P2": [(2, "b"), (4, "a"), (12, "b"), (14, "a")],
+        },
+    )
+    hb = computation.happened_before()
+    index = hb.index_map()
+    first, second = (
+        list(
+            enumerate_traces(
+                hb.restricted_to(
+                    [index[e.key] for e in computation.events if lo <= e.local_time < lo + 10]
+                ),
+                2,
+            )
+        )
+        for lo in (0, 10)
+    )
+    pairs = [(intern_formula(parse("a U[0,40) b"))._intern_id, 1)]
+    kernel = ColumnarSegmentProgressor(pairs)
+    for trace in first:
+        kernel.progress_trace(trace, 0, 30)
+    assert kernel.columns_reused > 0
+    reused_in_first = kernel.columns_reused
+    kernel.progress_trace(second[0], 0, 30)
+    assert kernel.columns_reused == reused_in_first
+    assert ColumnarSegmentProgressor(pairs).columns_reused == 0
+
+
+def test_preempted_pass_caches_nothing_and_the_retry_is_uninterrupted():
+    traces, pairs = _chain_shaped_segment()
+    reference = ColumnarSegmentProgressor(pairs)
+    expected = [reference.progress_trace(t, 0, t.end_time) for t in traces]
+
+    kernel = ColumnarSegmentProgressor(pairs)
+    cancelled = Budget(check_every=1)
+    cancelled.cancel("scripted")
+    for position, trace in enumerate(traces):
+        if position % 50 == 25:  # cancel mid-segment, then retry the trace
+            before = (kernel.cached_cells, kernel.columns_reused, kernel.columns_computed)
+            with pytest.raises(PreemptedError):
+                kernel.progress_trace(trace, 0, trace.end_time, budget=cancelled)
+            assert before == (
+                kernel.cached_cells,
+                kernel.columns_reused,
+                kernel.columns_computed,
+            )
+        assert kernel.progress_trace(trace, 0, trace.end_time) == expected[position]
+    assert kernel.cached_cells == reference.cached_cells
+
+
+def test_cancelled_segment_retries_to_the_uninterrupted_outcome():
+    """Budget cancel at an engine-chosen checkpoint mid-segment: the
+    stream reports ``preempted``; a retry from scratch is the
+    uninterrupted result."""
+    computation = DistributedComputation.from_event_lists(
+        3, {"P1": [(1, "a"), (3, ()), (5, "a")], "P2": [(2, ()), (4, "b"), (6, ())]}
+    )
+    hb = computation.happened_before()
+    carried = {parse("G[0,20) (a -> F[0,4) b)"): 1}
+    reference = enumerate_segment_outcomes(hb, 3, carried, None, 9)
+    assert reference.traces_enumerated > 100
+
+    budget = Budget(check_every=1)
+    checkpoints = [0]
+
+    def cancel_midway() -> None:
+        checkpoints[0] += 1
+        if checkpoints[0] == 300:
+            budget.cancel("scripted")
+
+    budget.poll_hook = cancel_midway
+    interrupted = enumerate_segment_outcomes(hb, 3, carried, None, 9, budget=budget)
+    assert interrupted.preempted
+    assert 0 < interrupted.traces_enumerated < reference.traces_enumerated
+    retry = enumerate_segment_outcomes(hb, 3, carried, None, 9)
+    assert retry.id_counts() == reference.id_counts()
+    assert retry.traces_enumerated == reference.traces_enumerated
+
+
+def test_wide_column_under_the_default_trace_budget_stays_under_the_cap(monkeypatch):
+    """2 000 residuals under the default 20 000-trace budget would be
+    hundreds of millions of cells if every column were kept; the first
+    traces already fill the fixed cap, after which nothing more is
+    stored and the results equal a run whose cap never binds."""
+    roots = [
+        parse(f"G[0,{40 + k}) ({'a' if k % 2 else 'b'} -> F[0,{2 + k % 37}) b)")
+        for k in range(2000)
+    ]
+    pairs = [(intern_formula(root)._intern_id, 1) for root in roots]
+    computation = DistributedComputation.from_event_lists(
+        4,
+        {
+            "P1": [(2, "a"), (5, ()), (8, "a"), (11, "b")],
+            "P2": [(3, "b"), (6, "a"), (9, ()), (12, "a")],
+        },
+    )
+    traces = enumerate_traces(computation.happened_before(), 4, limit=DEFAULT_TRACE_BUDGET)
+    sample = list(itertools.islice(traces, 0, 420, 7))
+
+    capped = ColumnarSegmentProgressor(pairs)
+    got = [capped.progress_trace(t, 0, t.end_time) for t in sample]
+    cap = columnar._MAX_CACHED_CELLS
+    assert 0 < capped.cached_cells <= cap
+
+    monkeypatch.setattr(columnar, "_MAX_CACHED_CELLS", 1 << 40)
+    uncapped = ColumnarSegmentProgressor(pairs)
+    assert got == [uncapped.progress_trace(t, 0, t.end_time) for t in sample]
+    # The cap did bind: without it the same traces keep more, reuse more.
+    assert uncapped.cached_cells > cap
+    assert uncapped.columns_reused > capped.columns_reused
