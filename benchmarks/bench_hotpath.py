@@ -23,7 +23,9 @@ Four metrics, each timing one layer of the hot path:
   is gated only on >= 4-core hosts (report-only on small CI runners).
 * ``preempt_latency`` — cancel a running ``SmtMonitor.run`` via its
   :class:`~repro.progression.budget.Budget` and time cancel-to-unwind
-  (the one-checkpoint-interval promise, as a smoke number).
+  (the one-checkpoint-interval promise, as a smoke number): the median
+  of five draws, since one draw lands anywhere inside a checkpoint
+  interval.
 
 Regression guard: ``--baseline`` writes ``BENCH_hotpath.json``;
 ``--check BENCH_hotpath.json`` re-runs the suite and fails when any
@@ -333,7 +335,19 @@ def bench_intra_segment(mode: str) -> dict:
     }
 
 
+#: Draws behind the ``preempt_latency`` median.
+PREEMPT_DRAWS = 5
+
+
 def bench_preempt_latency(mode: str) -> dict:
+    """Median cancel() -> PreemptedError time over ``PREEMPT_DRAWS`` draws."""
+    import statistics
+
+    draws = [_preempt_once() for _ in range(PREEMPT_DRAWS)]
+    return {"seconds": statistics.median(draws), "draws": draws}
+
+
+def _preempt_once() -> float:
     """Cancel a running enumeration; time cancel() -> PreemptedError."""
     import threading
 
@@ -362,7 +376,7 @@ def bench_preempt_latency(mode: str) -> dict:
         raise SystemExit(
             "preemption smoke never preempted - enlarge the workload"
         )
-    return {"seconds": unwound["at"] - cancelled_at}
+    return unwound["at"] - cancelled_at
 
 
 # -- harness -----------------------------------------------------------------------
@@ -406,7 +420,8 @@ def run_suite(mode: str) -> dict:
           f"({metrics['intra_segment']['speedup']:.2f}x, verdicts bit-identical)")
     print("preempt_latency ...", flush=True)
     metrics["preempt_latency"] = bench_preempt_latency(mode)
-    print(f"  {metrics['preempt_latency']['seconds'] * 1000:.1f} ms cancel-to-unwind")
+    print(f"  {metrics['preempt_latency']['seconds'] * 1000:.1f} ms cancel-to-unwind "
+          f"(median of {PREEMPT_DRAWS})")
     return {
         "schema": SCHEMA,
         "mode": mode,

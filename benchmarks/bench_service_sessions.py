@@ -142,6 +142,8 @@ def run_session_sweep_point(
             boundary += advance_ms
         results = {seed: handles[seed].finish() for seed in streams}
         checkpoints = sum(handles[seed].checkpoints for seed in streams)
+        recoveries = sum(handles[seed].recoveries for seed in streams)
+        probes = service.probes
         leftover = service.outstanding()
     wall = time.perf_counter() - started
     assert not any(leftover), f"outstanding counters leaked: {leftover}"
@@ -156,6 +158,8 @@ def run_session_sweep_point(
         "wall": wall,
         "events_per_second": total_events / wall if wall else float("inf"),
         "checkpoints": checkpoints,
+        "recoveries": recoveries,
+        "probes": probes,
         "verdict_sets": verdict_sets,
     }
 
@@ -234,8 +238,9 @@ def run_skewed_point(
 
 #: Lossy-link schedule for --faults: a few percent of frames dropped, a
 #: small per-frame latency with jitter, and occasional 0.2 s stalls —
-#: the "bad but not dead" link the quarantine/fence machinery degrades
-#: gracefully on.  Deterministic: same seed, same faults.
+#: the "bad but not dead" link that status probes repair in a round
+#: trip (and the quarantine/fence machinery degrades gracefully on when
+#: they cannot).  Deterministic: same seed, same faults.
 FAULT_SEED = "bench-lossy-link"
 FAULT_KNOBS = dict(
     drop=0.02,
@@ -245,9 +250,9 @@ FAULT_KNOBS = dict(
     delay_seconds=0.2,
     grace=8,
 )
-#: Per-attempt fence timeout for --faults streams (generous: the stalls
-#: are 0.2 s; the bound exists so a dropped frame is retried, not waited
-#: on forever).
+#: Per-attempt give-up bound for --faults streams (generous: the stalls
+#: are 0.2 s).  A dropped frame costs a probe round trip paced by the
+#: measured RTT, not this bound; it is what unanswered probes run into.
 FAULT_CALL_TIMEOUT = 2.0
 
 
@@ -450,6 +455,10 @@ def main() -> int:
         print(
             f"  link: {stats['sent']} frames sent, {stats['dropped']} dropped, "
             f"{stats['duplicated']} duplicated"
+        )
+        print(
+            f"  repair: {comparison['faulty']['probes']} status probes, "
+            f"{comparison['faulty']['recoveries']} restore-and-replay recoveries"
         )
         print(f"  slowdown under faults: {comparison['slowdown']:.2f}x")
         print("  verdicts bit-identical under faults: ok (asserted)")

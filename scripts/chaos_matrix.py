@@ -34,7 +34,12 @@ Asserted in every cell:
   an uninterrupted in-process :class:`~repro.monitor.online.OnlineMonitor`
   replay of the same stream, whatever the schedule did to the frames;
 * **bounded recovery** — outstanding-request books drain to zero within
-  a fixed deadline after the workload ends.
+  a fixed deadline after the workload ends;
+* **at most once** — every worker of a fault cell runs a counting
+  executor: no request id is executed twice, whatever was duplicated,
+  reordered, probed or re-sent (the cell also prints how many status
+  probes the client sent and how many cached replies workers sent
+  again).
 
 On failure the cell prints its seed, the schedule, and a one-line repro
 command; ``--artifact PATH`` additionally writes the failing cell as
@@ -44,8 +49,11 @@ JSON (the CI chaos-matrix job uploads it).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import multiprocessing
 import sys
+import threading
 import time
 
 from repro.errors import ReproError
@@ -53,8 +61,10 @@ from repro.monitor.online import OnlineMonitor
 from repro.mtl import parse
 from repro.retry import RetryPolicy
 from repro.service import MonitorService
+from repro.service import worker as worker_module
 from repro.transport import FaultSchedule, FaultyTransport, LocalTransport, TcpTransport
-from repro.transport.agent import spawn_agent
+from repro.transport.agent import WorkerAgent, spawn_agent
+from repro.transport.frames import DROPPED_BEFORE_EXECUTION, STALE_REQUEST_PREFIX
 
 SPEC = parse("a U[0,30) b")
 EPSILON = 2
@@ -125,6 +135,69 @@ def _reference_counts() -> dict[int, object]:
     return {seed: result.verdict_counts for seed, result in results.items()}
 
 
+class Witness:
+    """Counters a cell's worker processes share with the cell."""
+
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context()
+        self.executed = ctx.Value("i", 0)
+        self.repeated = ctx.Value("i", 0)
+        self.resent = ctx.Value("i", 0)
+
+
+def counting_executor(witness: Witness):
+    """A ``RequestExecutor`` that reports every real execution (stale
+    refusals, skipped drops and re-sent replies execute nothing) and
+    every request id it executed a second time."""
+
+    class CountingExecutor(worker_module.RequestExecutor):
+        def __init__(self) -> None:
+            super().__init__()
+            self._executed_ids: set[int] = set()
+
+        def execute(self, request):
+            response = super().execute(request)
+            skipped = response is None or (response.error or "").startswith(
+                (STALE_REQUEST_PREFIX, DROPPED_BEFORE_EXECUTION)
+            )
+            if not skipped:
+                with witness.executed.get_lock():
+                    witness.executed.value += 1
+                    witness.repeated.value += request.request_id in self._executed_ids
+                self._executed_ids.add(request.request_id)
+            return response
+
+        def probe(self, request_id):
+            before = self.replies_resent
+            super().probe(request_id)
+            with witness.resent.get_lock():
+                witness.resent.value += self.replies_resent - before
+
+    return CountingExecutor
+
+
+def _counting_worker(witness: Witness, inbox, response_writer, codec) -> None:
+    """Local-backend child body: the stock loop around a counting executor."""
+    worker_module.RequestExecutor = counting_executor(witness)  # this child only
+    worker_module.service_worker_loop(inbox, response_writer, codec)
+
+
+def _counting_agent(witness: Witness, ready) -> None:
+    """TCP-backend child body: a thread-mode agent with counting executors."""
+    agent = WorkerAgent(executor_factory=counting_executor(witness))
+    agent.start()
+    ready.send(agent.port)
+    threading.Event().wait()  # serve until the cell kills this process
+
+
+def _spawn_counting_agent(witness: Witness):
+    ctx = multiprocessing.get_context()
+    ours, theirs = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=_counting_agent, args=(witness, theirs), daemon=True)
+    process.start()
+    return process, ours.recv()
+
+
 def build_schedule(fault: str, seed: int | str) -> FaultSchedule:
     return FaultSchedule(seed=f"{seed}:{fault}", **FAULTS[fault])
 
@@ -133,39 +206,28 @@ def run_cell(fault: str, transport: str, seed: int) -> dict:
     """One matrix cell; raises AssertionError/ReproError on any violation."""
     schedule = build_schedule(fault, seed)
     expected = _reference_counts()
+    witness = Witness()
     agents = []
     try:
         if transport == "local":
-            endpoints = [
-                FaultyTransport(LocalTransport(), schedule) if i < FAULTY
-                else LocalTransport()
-                for i in range(WORKERS)
-            ]
-        else:
-            agents = [
-                spawn_agent(
-                    heartbeat_interval=HEARTBEAT_INTERVAL,
-                    heartbeat_timeout=LIVENESS_TIMEOUT,
-                )
+            clean = [
+                LocalTransport(target=functools.partial(_counting_worker, witness))
                 for _ in range(WORKERS)
             ]
-            endpoints = [
-                FaultyTransport(
-                    TcpTransport(
-                        host, port,
-                        heartbeat_interval=HEARTBEAT_INTERVAL,
-                        liveness_timeout=LIVENESS_TIMEOUT,
-                    ),
-                    schedule,
-                )
-                if i < FAULTY
-                else TcpTransport(
-                    host, port,
+        else:
+            agents = [_spawn_counting_agent(witness) for _ in range(WORKERS)]
+            clean = [
+                TcpTransport(
+                    "127.0.0.1", port,
                     heartbeat_interval=HEARTBEAT_INTERVAL,
                     liveness_timeout=LIVENESS_TIMEOUT,
                 )
-                for i, (_, host, port) in enumerate(agents)
+                for _, port in agents
             ]
+        endpoints = [
+            FaultyTransport(endpoint, schedule) if i < FAULTY else endpoint
+            for i, endpoint in enumerate(clean)
+        ]
         started = time.monotonic()
         with MonitorService(saturate=False, endpoints=endpoints) as service:
             handles = {
@@ -188,7 +250,13 @@ def run_cell(fault: str, transport: str, seed: int) -> dict:
             assert not any(leftover), (
                 f"outstanding counters leaked past {DRAIN_SECONDS}s: {leftover}"
             )
+            assert witness.executed.value > 0, "the workers counted no execution"
+            assert witness.repeated.value == 0, (
+                f"{witness.repeated.value} request id(s) executed more than once"
+            )
             stats = {
+                "probes": service.probes,
+                "resent": witness.resent.value,
                 "recoveries": sum(h.recoveries for h in handles.values()),
                 "migrations": sum(h.migrations for h in handles.values()),
                 "checkpoints": sum(h.checkpoints for h in handles.values()),
@@ -201,10 +269,9 @@ def run_cell(fault: str, transport: str, seed: int) -> dict:
                         stats[key] = stats.get(key, 0) + value
             return stats
     finally:
-        for popen, _, _ in agents:
-            popen.kill()
-            popen.wait(timeout=10)
-            popen.stdout.close()
+        for process, _ in agents:
+            process.kill()
+            process.join(timeout=10)
 
 
 def run_registry_restart(seed: int) -> dict:

@@ -133,6 +133,82 @@ class RetryPolicy:
         yield None
 
 
+#: RFC 6298 smoothing gains and variance multiplier.
+RTT_ALPHA = 1 / 8
+RTT_BETA = 1 / 4
+RTT_K = 4
+#: Smallest margin the timeout keeps above the smoothed RTT (RFC 6298's
+#: clock-granularity term ``G``), hence also the smallest timeout: a
+#: scheduling hiccup shorter than this never looks like a lost frame.
+RTO_FLOOR = 0.05
+#: Timeout before the first sample (RFC 6298 §2.1).
+RTO_INITIAL = 1.0
+
+
+class RttEstimator:
+    """Retransmission timeout from smoothed round-trip samples (RFC 6298).
+
+    One per endpoint.  :meth:`pace` is the waiting side: it spends a
+    caller's give-up bound in RTO-sized slices, asking the peer about
+    the request between slices instead of sleeping the bound out.
+    """
+
+    def __init__(self) -> None:
+        self.srtt: float | None = None
+        self.rttvar = 0.0
+        self._lock = threading.Lock()
+
+    def sample(self, rtt: float) -> None:
+        with self._lock:
+            if self.srtt is None:
+                self.srtt, self.rttvar = rtt, rtt / 2
+            else:
+                self.rttvar += RTT_BETA * (abs(self.srtt - rtt) - self.rttvar)
+                self.srtt += RTT_ALPHA * (rtt - self.srtt)
+
+    def rto(self, ceiling: float | None = None) -> float:
+        """The current timeout, clamped to ``[RTO_FLOOR, ceiling]``."""
+        if self.srtt is None:
+            rto = RTO_INITIAL
+        else:
+            rto = self.srtt + max(RTO_FLOOR, RTT_K * self.rttvar)
+        return rto if ceiling is None else min(rto, ceiling)
+
+    def pace(
+        self,
+        wait: Callable[[float], bool],
+        probe: Callable[[], None],
+        limit: float,
+        sent_at: float | None = None,
+    ) -> tuple[bool, int]:
+        """Wait up to ``limit`` seconds for ``wait(seconds)`` to return
+        True: wait RTO, ``probe()``, wait 2·RTO, ``probe()``, ...
+
+        Returns ``(resolved, probes sent)``.  A request that resolves
+        while it is being waited for, unprobed, yields a sample of
+        ``now - sent_at``.  A probed one yields none (Karn's rule: its
+        answer may be to the request or to a probe), nor does one that
+        had resolved before the wait began — how long it took is not
+        known, and what it waited behind was nobody's timeout to pace.
+        """
+        if wait(0):
+            return True, 0
+        deadline = time.monotonic() + limit
+        rto = self.rto(limit)
+        probes = 0
+        while True:
+            remaining = deadline - time.monotonic()
+            if wait(max(0.0, min(rto, remaining))):
+                if not probes and sent_at is not None:
+                    self.sample(time.monotonic() - sent_at)
+                return True, probes
+            if remaining <= rto:
+                return False, probes
+            probe()
+            probes += 1
+            rto *= 2
+
+
 #: Session migrate/recover calls: a generous per-attempt ceiling, no
 #: automatic re-try at this layer (recovery has its own loop).
 SESSION_CALL_POLICY = RetryPolicy(attempts=1, timeout=30.0)

@@ -44,6 +44,7 @@ class MonitorFuture:
         "cancel_hook",
         "task_index",
         "request_id",
+        "sent_at",
     )
 
     #: The error string a client-side cancellation resolves with.
@@ -69,6 +70,9 @@ class MonitorFuture:
         #: settle the outstanding books without waiting for an ack that
         #: may never arrive.
         self.request_id: int | None = None
+        #: ``time.monotonic()`` when the service put the request on the
+        #: wire — what a paced wait measures its round trip from.
+        self.sent_at: float | None = None
 
     def done(self) -> bool:
         """True once the worker has responded (successfully or not)."""
@@ -108,6 +112,10 @@ class MonitorFuture:
                 except Exception:  # noqa: BLE001 — cancel must stay best-effort
                     pass
         return won
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until resolved or ``timeout`` passed; True when resolved."""
+        return self._event.wait(timeout)
 
     def result(self, timeout: float | None = None) -> Any:
         """Block until resolved; return the payload or raise the error."""

@@ -62,7 +62,7 @@ from typing import Sequence
 from repro.distributed.computation import DistributedComputation
 from repro.errors import CancelledError, MonitorError, ReproError, ServiceError
 from repro.mtl.ast import Formula
-from repro.retry import REDIAL_POLICY, RetryPolicy
+from repro.retry import REDIAL_POLICY, RetryPolicy, RttEstimator
 from repro.service.durability import CheckpointConfig, resolve_checkpoint
 from repro.service.futures import MonitorFuture
 from repro.service.reports import BatchReport
@@ -336,7 +336,15 @@ class MonitorService:
         self._request_ids = itertools.count()
         self._session_ids = itertools.count()
         self._futures: dict[int, MonitorFuture] = {}
-        self._request_to_worker: dict[int, int] = {}
+        # Outstanding request ids per endpoint.  Ids reach an endpoint in
+        # increasing order (see ``_send``), so each dict is ordered by
+        # id: the FIFO gap reaper reads its overtaken ids off the front,
+        # and its length is the endpoint's placement depth.
+        self._pending: list[dict[int, None]] = [{} for _ in range(self._workers)]
+        # One RTT estimator per endpoint paces every session wait on it
+        # (see ``_await``); ``_probes`` counts the status probes sent.
+        self._rtt = [RttEstimator() for _ in range(self._workers)]
+        self._probes = 0
         # Work-stealing state: ``_stealable`` keeps the (op, payload) of
         # every outstanding *pure* batch request so it can be re-sent to
         # another endpoint; ``_stealing`` marks request ids whose drop
@@ -345,7 +353,6 @@ class MonitorService:
         self._stealable: dict[int, tuple[str, object]] = {}
         self._stealing: set[int] = set()
         self._steals = 0
-        self._outstanding = [0] * self._workers
         self._dead = [False] * self._workers
         self._retired = [False] * self._workers
         # Gray-failure quarantine: flagged endpoints are excluded from
@@ -466,10 +473,17 @@ class MonitorService:
     def endpoint(self, worker_index: int) -> str:
         return self._connections[worker_index].endpoint
 
+    @property
+    def probes(self) -> int:
+        """Status probes sent so far by paced session waits (zero on a
+        link that answers within its retransmission timeout)."""
+        with self._lock:
+            return self._probes
+
     def outstanding(self) -> list[int]:
         """Per-endpoint outstanding-request depth (the placement signal)."""
         with self._lock:
-            return list(self._outstanding)
+            return [len(ids) for ids in self._pending]
 
     def dead_endpoints(self) -> list[bool]:
         """Per-endpoint unusability flags (reaped endpoints stay dead).
@@ -789,7 +803,8 @@ class MonitorService:
                 # the transport can possibly fire them.
                 index = self._workers
                 self._workers += 1
-                self._outstanding.append(0)
+                self._pending.append({})
+                self._rtt.append(RttEstimator())
                 self._dead.append(False)
                 self._retired.append(False)
                 self._quarantined.append(False)
@@ -818,7 +833,8 @@ class MonitorService:
                     # request can have targeted it (placement only sees
                     # installed connections).
                     self._workers -= 1
-                    self._outstanding.pop()
+                    self._pending.pop()
+                    self._rtt.pop()
                     self._dead.pop()
                     self._retired.pop()
                     self._quarantined.pop()
@@ -895,11 +911,11 @@ class MonitorService:
                     time.sleep(0.05)
         self.steal_queued(index)
         with self._lock:
-            remaining = self._outstanding[index]
+            remaining = len(self._pending[index])
         while remaining > 0 and time.monotonic() < deadline:
             time.sleep(0.02)
             with self._lock:
-                remaining = self._outstanding[index]
+                remaining = len(self._pending[index])
                 if self._dead[index]:
                     break
         self._connections[index].close(max(0.1, deadline - time.monotonic()))
@@ -1208,12 +1224,12 @@ class MonitorService:
         with self._lock:
             leftovers = list(self._futures.values())
             self._futures.clear()
-            self._request_to_worker.clear()
+            # Every tracked request is now resolved or failed; the
+            # depths must agree (the placement-signal invariant).
+            for ids in self._pending:
+                ids.clear()
             self._stealable.clear()
             self._stealing.clear()
-            # Every tracked request is now resolved or failed; the
-            # counters must agree (the placement-signal invariant).
-            self._outstanding = [0] * self._workers
             self._sessions.clear()
         for future in leftovers:
             future.resolve(None, "ServiceError: service closed before completion")
@@ -1281,7 +1297,7 @@ class MonitorService:
                 raise ServiceError("all service workers have died")
             if avoid is not None and len(alive) > 1:
                 alive = [i for i in alive if i != avoid]
-            return min(alive, key=lambda i: self._outstanding[i])
+            return min(alive, key=lambda i: len(self._pending[i]))
 
     def _send(self, worker_index: int, op: str, payload) -> MonitorFuture:
         future = MonitorFuture()
@@ -1300,9 +1316,9 @@ class MonitorService:
                     )
                 request_id = next(self._request_ids)
                 future.request_id = request_id
+                future.sent_at = time.monotonic()
                 self._futures[request_id] = future
-                self._request_to_worker[request_id] = worker_index
-                self._outstanding[worker_index] += 1
+                self._pending[worker_index][request_id] = None
                 if op in STEALABLE_OPS:
                     # Kept until the response arrives, so the request can
                     # be re-sent elsewhere if this endpoint dies first.
@@ -1312,15 +1328,14 @@ class MonitorService:
             except BaseException:
                 # Any send failure — transport trouble (ServiceError) or a
                 # payload the codec refuses to serialize (TypeError, ...) —
-                # must unwind the bookkeeping, or the leaked outstanding
-                # count would bias placement against a healthy worker forever.
+                # must unwind the bookkeeping, or the leaked pending id
+                # would bias placement against a healthy worker forever.
                 with self._lock:
                     self._futures.pop(request_id, None)
                     self._stealable.pop(request_id, None)
-                    if self._request_to_worker.pop(request_id, None) is not None:
-                        self._outstanding[worker_index] -= 1
+                    self._pending[worker_index].pop(request_id, None)
                 raise
-        future.cancel_hook = lambda: self._drop_request(worker_index, request_id)
+        future.cancel_hook = lambda: self._send_control(worker_index, "drop", request_id)
         return future
 
     def _abandon_requests(self, futures) -> None:
@@ -1341,25 +1356,60 @@ class MonitorService:
                     continue
                 self._stealable.pop(request_id, None)
                 self._stealing.discard(request_id)
-                worker_index = self._request_to_worker.pop(request_id, None)
-                if worker_index is not None:
-                    self._outstanding[worker_index] -= 1
+                for ids in self._pending:
+                    ids.pop(request_id, None)
 
-    def _drop_request(self, worker_index: int, request_id: int) -> None:
-        """Best-effort ``drop`` control frame behind ``MonitorFuture.cancel``.
+    def _await(self, future: MonitorFuture, limit: float | None) -> int | None:
+        """The one blocking wait behind every session round trip.
 
-        The worker skips the request if it has not executed yet and
-        acknowledges with a ``CancelledError`` response either way, so
-        the outstanding bookkeeping settles through the normal path.
+        Waits up to ``limit`` seconds for ``future`` in slices paced by
+        its endpoint's retransmission timeout, sending a ``probe``
+        control frame for the request between slices (wait RTO, probe,
+        wait 2·RTO, probe, ...): a worker that never saw the request
+        proves it with a drop ack, one that executed it sends the cached
+        reply again, one that still holds it says nothing — so a lost
+        frame costs a round trip, and a slow engine call costs nothing.
+        Returns the number of probes sent once the future resolved,
+        ``None`` when ``limit`` ran out first.  ``limit=None`` blocks
+        until the future resolves and probes nothing.
+        """
+        if limit is None:
+            future.wait()
+            return 0
+        request_id = future.request_id
+        with self._lock:
+            worker_index = next(
+                (i for i, ids in enumerate(self._pending) if request_id in ids), None
+            )
+        if worker_index is None:  # answered (or abandoned) already
+            return 0 if future.wait(limit) else None
+
+        def probe() -> None:
+            with self._lock:
+                self._probes += 1
+            self._send_control(worker_index, "probe", request_id)
+
+        resolved, probes = self._rtt[worker_index].pace(
+            future.wait, probe, limit, future.sent_at
+        )
+        return probes if resolved else None
+
+    def _send_control(self, worker_index: int, op: str, request_id: int) -> None:
+        """Best-effort ``drop`` / ``probe`` control frame for one request.
+
+        ``drop`` is what ``MonitorFuture.cancel`` sends: the worker skips
+        the request if it has not executed yet and acknowledges with a
+        ``CancelledError`` response either way, so the outstanding
+        bookkeeping settles through the normal path.  ``probe`` is what
+        :meth:`_await` sends (see :meth:`RequestExecutor.probe
+        <repro.service.worker.RequestExecutor>`).
         """
         try:
-            self._connections[worker_index].send(
-                Request(CONTROL_ID, "drop", request_id)
-            )
+            self._connections[worker_index].send(Request(CONTROL_ID, op, request_id))
         except Exception:  # noqa: BLE001 — any send failure, not just ServiceError
             # Peer gone or channel broken: reaping (or close) settles the
-            # books.  A drop frame must never raise out of cancel() or
-            # leave the outstanding counters depending on its delivery.
+            # books.  A control frame must never raise out of cancel() or
+            # a wait, or leave the books depending on its delivery.
             pass
 
     #: Error a request resolves with when a later response on the same
@@ -1374,10 +1424,10 @@ class MonitorService:
             resteal: tuple[str, object, MonitorFuture] | None = None
             reaped: list[MonitorFuture] = []
             with self._lock:
+                pending = self._pending[worker_index]
                 future = self._futures.pop(response.request_id, None)
                 stealable = self._stealable.pop(response.request_id, None)
-                if self._request_to_worker.pop(response.request_id, None) is not None:
-                    self._outstanding[worker_index] -= 1
+                pending.pop(response.request_id, None)
                 # FIFO gap reaper: ids reach one connection in increasing
                 # order and are answered in that order, so a response for
                 # id R proves every pending id < R on this worker will
@@ -1387,29 +1437,28 @@ class MonitorService:
                 # lossy link the ack the counters would otherwise wait
                 # for may simply not exist.  A late (reordered) response
                 # for a reaped id finds its id already popped and is
-                # ignored, so nothing settles twice.  The one response
-                # that breaks the answered-in-order premise is a minted
-                # drop ack: the worker emits it the moment the drop
-                # control frame is ingested, jumping ahead of earlier
-                # requests still queued behind the running one — it
-                # proves nothing about them, so it must not reap.
-                stale_ids = (
-                    []
-                    if response.error == DROPPED_BEFORE_EXECUTION
-                    else [
-                        rid
-                        for rid, owner in self._request_to_worker.items()
-                        if owner == worker_index and rid < response.request_id
-                    ]
-                )
-                for rid in stale_ids:
-                    stale = self._futures.pop(rid, None)
-                    self._stealable.pop(rid, None)
-                    self._stealing.discard(rid)
-                    del self._request_to_worker[rid]
-                    self._outstanding[worker_index] -= 1
-                    if stale is not None:
-                        reaped.append(stale)
+                # ignored, so nothing settles twice.  A cached reply the
+                # worker sends *again* (answering a probe) arrives out of
+                # order but reaps soundly all the same: R executed, so
+                # every earlier id on the connection was answered before
+                # R's first copy left.  The one response that breaks the
+                # premise is a minted drop ack: the worker emits it the
+                # moment a drop (or a probe for an unseen id) is
+                # ingested, jumping ahead of earlier requests still
+                # queued behind the running one — it proves nothing
+                # about them, so it must not reap.
+                if response.error != DROPPED_BEFORE_EXECUTION:
+                    # ``pending`` is ordered by id: overtaken ids sit at
+                    # its front, so this reads them and stops.
+                    for rid in list(itertools.takewhile(
+                        lambda rid: rid < response.request_id, pending
+                    )):
+                        del pending[rid]
+                        stale = self._futures.pop(rid, None)
+                        self._stealable.pop(rid, None)
+                        self._stealing.discard(rid)
+                        if stale is not None:
+                            reaped.append(stale)
                 if response.request_id in self._stealing:
                     self._stealing.discard(response.request_id)
                     if (
@@ -1461,14 +1510,14 @@ class MonitorService:
             candidates = sorted(
                 request_id
                 for request_id in self._stealable
-                if self._request_to_worker.get(request_id) == from_index
+                if request_id in self._pending[from_index]
                 and request_id not in self._stealing
             )
             if limit is not None:
                 candidates = candidates[:limit]
             self._stealing.update(candidates)
         for request_id in candidates:
-            self._drop_request(from_index, request_id)
+            self._send_control(from_index, "drop", request_id)
         return len(candidates)
 
     def _resteal(
@@ -1555,16 +1604,16 @@ class MonitorService:
                 self._probe_streak.pop(index, None)
                 self._probe_futures.pop(index, None)
             any_alive = not all(self._dead)
-            by_worker: dict[int, list[int]] = {}
-            for request_id, worker_index in self._request_to_worker.items():
-                if worker_index in worker_indices:
-                    by_worker.setdefault(worker_index, []).append(request_id)
-            for worker_index, request_ids in by_worker.items():
-                request_ids.sort()
-                maybe_started = request_ids[0]
+            for worker_index in worker_indices:
+                # Ordered by id, and emptied here for good: a dead
+                # endpoint can never answer again, so nothing may stay
+                # pending on it to bias placement (or the rebalancer
+                # feeding on it).
+                request_ids = list(self._pending[worker_index])
+                self._pending[worker_index].clear()
+                maybe_started = request_ids[0] if request_ids else None
                 for request_id in request_ids:
                     future = self._futures.pop(request_id, None)
-                    del self._request_to_worker[request_id]
                     stealable = self._stealable.pop(request_id, None)
                     self._stealing.discard(request_id)
                     if future is None:
@@ -1584,13 +1633,6 @@ class MonitorService:
                                 stealable is not None and request_id == maybe_started,
                             )
                         )
-            for index in worker_indices:
-                # A dead endpoint can never answer again, so any residue
-                # here is by definition a leak — and a permanent one,
-                # since reaping runs once per endpoint.  Zeroing keeps
-                # the placement signal (and the rebalancer feeding on
-                # it) honest whatever path dropped the pairing.
-                self._outstanding[index] = 0
         for worker_index, future, guarded in orphans:
             detail = (
                 " while it may have been executing (not re-run: it could "

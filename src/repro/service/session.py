@@ -6,8 +6,9 @@ monitor state lives inside the worker process the session is sharded to —
 so hundreds of live feeds progress in parallel across the pool while each
 individual stream stays strictly ordered (per-worker inboxes are FIFO).
 
-``observe`` is asynchronous: events buffer client-side and flush to the
-worker in batches, so a hot feed costs one queue round-trip per segment
+``observe`` is asynchronous: events buffer client-side and ride to the
+worker *inside* the next ``advance_to`` (or ``finish``) request — one
+frame per boundary — so a hot feed costs one queue round-trip per segment
 advance rather than one per event.  Validation errors (an event behind the
 frontier, a non-advancing boundary) therefore surface at the *next
 synchronising call* (``advance_to``/``poll``/``finish``), not at
@@ -62,6 +63,7 @@ from repro.service.durability import CheckpointConfig, ReplayJournal
 from repro.service.futures import MonitorFuture, raise_remote
 from repro.transport.frames import (
     DROP_STANDBY,
+    DROPPED_BEFORE_EXECUTION,
     PROMOTE_SESSION,
     RESTORE_SESSION,
     SNAPSHOT_SESSION,
@@ -143,12 +145,20 @@ class Session:
         #: (``advance_to``/``poll``/``finish``).  ``None`` (the default)
         #: keeps the historical behaviour: block until the worker
         #: answers, however long that takes.  A policy with a
-        #: ``timeout`` arms the gray-failure fence: a round-trip that
-        #: outlives its per-attempt bound sends the worker a drop frame
-        #: and classifies the typed answer — proven-not-executed and
+        #: ``timeout`` paces the wait with status probes (a lost frame
+        #: is proven, or its cached reply sent again, within a round
+        #: trip — see :meth:`_call`) and arms the gray-failure fence: a
+        #: round-trip whose probes went unanswered for the whole
+        #: per-attempt bound sends the worker a drop frame and
+        #: classifies the typed answer — proven-not-executed and
         #: executed-then-unwound both retry safely, silence quarantines
         #: the endpoint (see :meth:`_fence_slow_call`).
         self._call_policy = call_policy
+        #: The sync future :meth:`interrupt` last sent a drop frame for:
+        #: a drop ack on it answers the caller, not a status probe.
+        self._interrupted: MonitorFuture | None = None
+        #: Last boundary whose advance the worker acknowledged.
+        self._advanced_to: int | None = None
         # -- durability state (all None/zero when not checkpointing) --
         self._checkpoint = checkpoint
         self._journal: ReplayJournal | None = (
@@ -284,23 +294,36 @@ class Session:
         """
         if not self._buffer:
             return
+        future = self._send_buffered(
+            self._worker, "session_observe", (self._id, tuple(self._buffer))
+        )
+        self._mark_flushed()
+        self._inflight.append(future)
+
+    def _send_buffered(self, worker: int, op: str, payload: object) -> MonitorFuture:
+        """Send a request that carries the buffer; a failed send names
+        the buffered events it strands."""
         try:
-            future = self._service._send_session(
-                self._worker, "session_observe", (self._id, self._buffer)
-            )
+            return self._service._send_session(worker, op, payload)
         except ServiceError as exc:
+            if not self._buffer:
+                raise
             raise ServiceError(
                 f"{len(self._buffer)} buffered observe event(s) for session "
-                f"{self._id} could not be flushed to {self._endpoint_text()}: {exc}"
+                f"{self._id} could not be flushed to {self._endpoint_text(worker)}: {exc}"
             ) from exc
-        # Counted only now: the events have actually left for the worker,
-        # so the rebalancer's heat signal tracks carried load, not
-        # buffered intent that a failed flush (or close) may discard.
+
+    def _mark_flushed(self) -> None:
+        """The buffered events have left for the worker.
+
+        Counted only now, so the rebalancer's heat signal tracks carried
+        load, not buffered intent that a failed send (or close) may
+        discard.
+        """
         flushed = len(self._buffer)
         self._events_observed += flushed
         self._events_since_checkpoint += flushed
         self._buffer = []
-        self._inflight.append(future)
 
     def _check_inflight(self, wait: bool = False) -> None:
         """Surface the first failed observe batch; drop completed ones.
@@ -322,7 +345,7 @@ class Session:
             if not wait and not future.done():
                 break
             self._inflight.popleft()
-            future.result(timeout)  # raises the remote error if the batch failed
+            self._settle(future, timeout)  # raises the remote error if the batch failed
 
     # -- advancing / inspecting ----------------------------------------------------
 
@@ -330,22 +353,48 @@ class Session:
         """Declare all times below ``boundary`` final; return decided verdicts."""
         with self._lock:
             self._ensure_live()
-            verdicts = self._durable_call(lambda: self._advance_once(boundary))
+            verdicts, rejected = self._durable_call(lambda: self._advance_once(boundary))
             self._durable_call(lambda: self._check_inflight(wait=True))
+            if rejected is not None:
+                # Raised only now: the advance itself happened (frontier
+                # moved, journaled), exactly as when the rejection came
+                # back on an observe batch of its own.
+                raise MonitorError(rejected)
             self._maybe_checkpoint()
             return verdicts
 
-    def _advance_once(self, boundary: int) -> frozenset[bool]:
-        self._flush()
+    def _advance_once(self, boundary: int) -> tuple[frozenset[bool], str | None]:
+        """One frame per boundary: the buffered events ride inside the
+        advance request; the worker buffers them, advances, and answers
+        ``(verdicts, rejection note)``.  A worker-side failure (refused
+        boundary, preemption) takes the events back out, so the buffer
+        is kept for the retry; the worker answers a retried advance that
+        finds the frontier already at ``boundary`` without applying the
+        events again.
+        """
+        repeat = boundary == self._advanced_to
+        if repeat:
+            # Not a retry but a repeat of an acknowledged boundary,
+            # which the worker would take for one: events observed since
+            # then go ahead on a frame of their own.
+            self._flush()
         self._check_inflight()
-        verdicts = self._roundtrip("session_advance", (self._id, boundary))
+        verdicts, rejected = self._roundtrip(
+            "session_advance", (self._id, boundary, tuple(self._buffer))
+        )
+        self._mark_flushed()
         self._confirm_inflight("session_advance")
-        if self._journal is not None:
+        if self._journal is not None and not repeat:
             # Journaled only after the worker acknowledged: an advance
             # that died mid-flight is *retried* after replay, not
-            # replayed as if it had happened.
+            # replayed as if it had happened.  A repeat moved nothing on
+            # the worker and is left out: replay carries each observe
+            # run inside the advance that follows it, and an advance
+            # that finds the frontier already there drops what it
+            # carries.
             self._journal.record_advance(boundary)
-        return verdicts
+        self._advanced_to = boundary
+        return verdicts, rejected
 
     def poll(self) -> SessionStatus:
         """Current verdicts / buffered-event / residual counts (cheap round-trip)."""
@@ -391,9 +440,9 @@ class Session:
             return self._result
 
     def _finish_once(self) -> MonitorResult:
-        self._flush()
         self._check_inflight()
-        result = self._roundtrip("session_finish", (self._id,))
+        result = self._roundtrip("session_finish", (self._id, tuple(self._buffer)))
+        self._mark_flushed()
         self._confirm_inflight("session_finish")
         return result
 
@@ -513,7 +562,7 @@ class Session:
             if wait or future.done():
                 self._pending_checkpoint = None
                 try:
-                    snapshot = future.result(self._recovery_timeout())
+                    snapshot = self._settle(future, self._recovery_timeout())
                 except ReproError:
                     pass
                 else:
@@ -599,7 +648,7 @@ class Session:
             return
         self._pending_standby = None
         try:
-            future.result(self._recovery_timeout())
+            self._settle(future, self._recovery_timeout())
         except ReproError:
             self._retire_standby()
             return
@@ -689,6 +738,7 @@ class Session:
         # freshest committed replica.
         self._apply_pending_checkpoint()
         self._poll_pending_standby(wait=True)
+        limit = self._recovery_timeout()
         origin = self._worker
         restored = False
         dead = self._service.dead_endpoints()
@@ -701,11 +751,8 @@ class Session:
             # that went stale behind the truncated journal can never be
             # rehydrated with history silently missing.
             try:
-                self._service._send_session(
-                    standby,
-                    PROMOTE_SESSION,
-                    (self._id, self._journal.checkpoints_applied),
-                ).result(self._recovery_timeout())
+                sequence = self._journal.checkpoints_applied
+                self._call(standby, PROMOTE_SESSION, (self._id, sequence), limit)
                 self._worker = standby
                 self._standby_worker = None
                 restored = True
@@ -737,25 +784,21 @@ class Session:
                 if target == self._worker:
                     raise cause
             try:
-                self._fence_stale_copy(target, self._recovery_timeout())
+                self._fence_stale_copy(target, limit)
                 if self._journal.snapshot is not None:
-                    self._service._send_session(
-                        target, RESTORE_SESSION, (self._id, self._journal.snapshot)
-                    ).result(self._recovery_timeout())
+                    restore = (self._id, self._journal.snapshot)
+                    self._call(target, RESTORE_SESSION, restore, limit)
                 else:
                     # Died before the first checkpoint: the journal covers
                     # the stream from the very beginning, so recovery is a
                     # fresh open plus a full replay.
-                    self._service._send_session(
-                        target,
-                        "session_open",
-                        (
-                            self._id,
-                            self._formula,
-                            self._epsilon,
-                            dict(self._monitor_kwargs),
-                        ),
-                    ).result(self._recovery_timeout())
+                    opening = (
+                        self._id,
+                        self._formula,
+                        self._epsilon,
+                        dict(self._monitor_kwargs),
+                    )
+                    self._call(target, "session_open", opening, limit)
             except ServiceError:
                 # The restore/open may have *executed* with its ack lost:
                 # remember the possible orphan copy so the next placement
@@ -801,22 +844,33 @@ class Session:
         self._replay()
 
     def _replay(self) -> None:
-        """Re-apply the journal, in order, onto the rebuilt monitor."""
+        """Re-apply the journal, in order, onto the rebuilt monitor.
+
+        Framed like the live feed: each run of observes rides inside the
+        advance that follows it.  Journaled boundaries strictly increase
+        from the snapshot's frontier (:meth:`_advance_once` leaves out a
+        repeat), so each advance moves the frontier and applies what it
+        carries.  A journaled event the monitor rejects was rejected
+        identically when first fed (and surfaced then), so rejection
+        notes are dropped; valid events still apply.
+        """
+        limit = self._recovery_timeout()
+        events: tuple = ()
         for kind, payload in self._journal.replay_ops():
             if kind == "observe":
-                try:
-                    self._service._send_session(
-                        self._worker, "session_observe", (self._id, payload)
-                    ).result(self._recovery_timeout())
-                except MonitorError:
-                    # A journaled event the monitor rejects was rejected
-                    # identically when first fed (and surfaced then);
-                    # valid events in the batch still applied.
-                    pass
-            else:
-                self._service._send_session(
-                    self._worker, "session_advance", (self._id, payload)
-                ).result(self._recovery_timeout())
+                events = tuple(payload)
+                continue
+            self._call(
+                self._worker, "session_advance", (self._id, payload, events), limit
+            )
+            events = ()
+        if events:
+            try:
+                self._call(self._worker, "session_observe", (self._id, events), limit)
+            except ServiceError:
+                raise
+            except MonitorError:
+                pass
 
     # -- migration ----------------------------------------------------------------
 
@@ -855,16 +909,12 @@ class Session:
             # fast A→B→A re-migration must not race it.
             self._fence_stale_copy(target_index, timeout)
             self._flush()
-            snapshot = self._service._send_session(
-                origin, SNAPSHOT_SESSION, (self._id,)
-            ).result(timeout)
+            snapshot = self._call(origin, SNAPSHOT_SESSION, (self._id,), timeout)
             # FIFO: every flushed observe batch resolved before the
             # snapshot did — surface a rejection now, before the hop.
             self._check_inflight(wait=True)
             try:
-                self._service._send_session(
-                    target_index, RESTORE_SESSION, (self._id, snapshot)
-                ).result(timeout)
+                self._call(target_index, RESTORE_SESSION, (self._id, snapshot), timeout)
             except BaseException:
                 # The restore may still be queued on the target (a
                 # timeout lost the race, not the request): queue a
@@ -913,7 +963,7 @@ class Session:
         self._stale_copies[worker_index] = future
         if wait is not None:
             try:
-                future.result(wait)
+                self._settle(future, wait)
             except Exception:  # noqa: BLE001 — stays unconfirmed, fenced later
                 return
             del self._stale_copies[worker_index]
@@ -941,7 +991,7 @@ class Session:
                     worker_index, "session_close", (self._id,)
                 )
                 self._stale_copies[worker_index] = future
-            future.result(timeout)
+            self._settle(future, timeout)
         except Exception as exc:  # noqa: BLE001 — any failure leaves it unconfirmed
             if self._service.dead_endpoints()[worker_index]:
                 del self._stale_copies[worker_index]
@@ -977,6 +1027,10 @@ class Session:
         hook = future.cancel_hook
         if hook is None:
             return False
+        # Before the frame leaves: the blocked caller must take the
+        # worker's drop ack for the answer to this interrupt, never for
+        # proof that a frame was lost (which it would re-send).
+        self._interrupted = future
         try:
             hook()
         except Exception:  # noqa: BLE001 — interrupt stays best-effort
@@ -986,67 +1040,115 @@ class Session:
     # -- plumbing -----------------------------------------------------------------
 
     def _roundtrip(self, op: str, payload: object):
+        """A synchronising round-trip to the hosting worker: published
+        for :meth:`interrupt`, bounded and fenced by the call policy."""
         policy = self._call_policy
-        if policy is None or policy.timeout is None:
-            # Historical behaviour: block until the worker answers.
-            future = self._service._send_session(self._worker, op, payload)
-            self._sync_future = future
-            try:
-                return future.result()
-            finally:
-                self._sync_future = None
+        limit = policy.timeout if policy is not None else None
+        return self._call(self._worker, op, payload, limit, fenced=True)
+
+    def _settle(self, future: MonitorFuture, limit: float | None):
+        """Paced wait for a request sent earlier; its payload or error."""
+        if self._service._await(future, limit) is None:
+            raise ServiceError(f"request did not complete within {limit}s")
+        return future.result(0)
+
+    def _call(
+        self,
+        worker: int,
+        op: str,
+        payload: object,
+        limit: float | None,
+        fenced: bool = False,
+    ):
+        """Send one request and return its answer (or raise its error).
+
+        The wait is :meth:`MonitorService._await
+        <repro.service.MonitorService>` (RTT-paced, a status probe
+        between slices).  A worker's proof that it never saw the frame
+        re-sends the request at once — but a drop ack is that proof only
+        when this wait probed and nobody cancelled or interrupted the
+        call; otherwise it answers the cancel and is raised.
+
+        When ``limit`` runs out unanswered a plain call fails; a
+        ``fenced`` one (the synchronising round-trips) is published for
+        :meth:`interrupt`, runs the hard cancel fence
+        (:meth:`_fence_slow_call`) and retries, returns or declares the
+        endpoint gray on its outcome.  Sends are bounded by the call
+        policy's ``attempts``; only fence retries back off.
+        """
+        policy = self._call_policy if self._call_policy is not None else SESSION_CALL_POLICY
         delays = policy.delays()
         attempt = 0
         while True:
             attempt += 1
-            future = self._service._send_session(self._worker, op, payload)
-            self._sync_future = future
+            send = self._send_buffered if fenced else self._service._send_session
+            future = send(worker, op, payload)
+            if fenced:
+                self._sync_future = future
             try:
-                try:
-                    return future.result(policy.timeout)
-                except ServiceError:
-                    if future.done():
-                        raise  # the worker (or transport) answered: real failure
+                probes = self._service._await(future, limit)
             finally:
-                self._sync_future = None
-            # The round-trip outlived its per-attempt bound with no
-            # answer at all — an ambiguous timeout.  Retrying blindly
-            # could execute the op twice, so fence first.
-            outcome, value = self._fence_slow_call(future, op)
-            if outcome == "done":
-                return value
-            if outcome == "retry":
-                delay = next(delays, None)
-                if delay is not None:
-                    if delay:
-                        time.sleep(delay)
-                    continue
+                if fenced:
+                    self._sync_future = None
+            timed_out = probes is None
+            if not timed_out:
+                try:
+                    return future.result(0)
+                except CancelledError:
+                    if (
+                        not probes
+                        or future.error != DROPPED_BEFORE_EXECUTION
+                        or future.cancelled
+                        or self._interrupted is future
+                    ):
+                        raise
+            elif not fenced:
                 raise ServiceError(
-                    f"session call {op!r} to {self._endpoint_text()} timed "
-                    f"out on all {attempt} attempt(s) "
-                    f"({policy.timeout}s per attempt)"
+                    f"session call {op!r} to {self._endpoint_text(worker)} did "
+                    f"not complete within {limit}s"
                 )
-            # Gray endpoint: alive enough to hold the connection open,
-            # too broken to answer even the fence.  Settle the silent
-            # request's books (its ack may never come), quarantine the
-            # endpoint out of placement (reversible — probes readmit a
-            # healed link) and surface a ServiceError: durable sessions
-            # restore-and-replay onto a live endpoint, plain sessions
-            # fail loudly.
-            self._service._abandon_requests([future])
-            self._service.quarantine_endpoint(
-                self._worker,
-                reason=f"session call {op!r} fence unanswered "
-                f"after {policy.timeout}s",
-            )
-            raise ServiceError(
-                f"session call {op!r} to {self._endpoint_text()} timed out "
-                f"and the cancellation fence went unanswered: endpoint is "
-                f"gray (quarantined), the call may or may not have executed"
-            )
+            else:
+                # Probes went unanswered for the whole per-attempt bound
+                # — an ambiguous timeout.  Retrying blindly could execute
+                # the op twice, so fence first.
+                outcome, value = self._fence_slow_call(future, op)
+                if outcome == "done":
+                    return value
+                if outcome == "gray":
+                    self._declare_gray(worker, future, op)
+            delay = next(delays, None)
+            if delay is None:
+                raise ServiceError(
+                    f"session call {op!r} to {self._endpoint_text(worker)} "
+                    f"{'timed out' if timed_out else 'was lost in transit'} on "
+                    f"all {attempt} attempt(s)"
+                )
+            if timed_out and delay:
+                time.sleep(delay)
+
+    def _declare_gray(self, worker: int, future: MonitorFuture, op: str) -> None:
+        """Gray endpoint: alive enough to hold the connection open, too
+        broken to answer probes or the fence.  Settle the silent
+        request's books (its ack may never come), quarantine the
+        endpoint out of placement (reversible — probes readmit a healed
+        link) and surface a ServiceError: durable sessions
+        restore-and-replay onto a live endpoint, plain sessions fail
+        loudly."""
+        timeout = self._call_policy.timeout
+        self._service._abandon_requests([future])
+        self._service.quarantine_endpoint(
+            worker,
+            reason=f"session call {op!r} fence unanswered after {timeout}s",
+        )
+        raise ServiceError(
+            f"session call {op!r} to {self._endpoint_text(worker)} timed out "
+            f"and the cancellation fence went unanswered: endpoint is "
+            f"gray (quarantined), the call may or may not have executed"
+        )
 
     def _fence_slow_call(self, future: MonitorFuture, op: str):
-        """Classify a synchronising round-trip that outlived its timeout.
+        """Classify a synchronising round-trip whose probes went
+        unanswered for the whole per-attempt timeout.
 
         Sends the worker a drop frame for the in-flight request (the
         same control path :meth:`interrupt` uses) and waits one more
@@ -1123,11 +1225,12 @@ class Session:
                     f"result is untrusted"
                 )
 
-    def _endpoint_text(self) -> str:
+    def _endpoint_text(self, worker: int | None = None) -> str:
+        worker = self._worker if worker is None else worker
         try:
-            return self._service.endpoint(self._worker)
+            return self._service.endpoint(worker)
         except Exception:  # noqa: BLE001 — diagnostics must not mask the error
-            return f"worker {self._worker}"
+            return f"worker {worker}"
 
     def _ensure_live(self) -> None:
         if self._finished:

@@ -25,7 +25,9 @@ captured as ``"TypeName: message"`` strings and re-raised client-side by
 dies on a request failure.  ``drop`` control frames are best-effort
 cancellation: a dropped request that has not executed yet is skipped and
 acknowledged with a ``CancelledError`` response (so client bookkeeping
-still balances); one that already ran simply completes.
+still balances); one that already ran simply completes.  ``probe``
+control frames ask what became of a request and never cancel anything:
+see :meth:`RequestExecutor.probe`.
 """
 
 from __future__ import annotations
@@ -67,6 +69,13 @@ from repro.transport.frames import (
 
 __all__ = ["Request", "RequestExecutor", "Response", "service_worker_loop"]
 
+#: Encoded replies kept per connection, newest last, for re-sending to a
+#: client whose probe says the first copy never arrived.
+REPLY_CACHE_SIZE = 32
+#: A reply frame larger than this is not kept (a probe for it is then
+#: answered like one for a reply that aged out: with silence).
+REPLY_CACHE_MAX_BYTES = 1 << 20
+
 
 class RequestExecutor:
     """One connection's worker state and request dispatch.
@@ -94,7 +103,9 @@ class RequestExecutor:
         #: response; without them a drop racing a *lost* request would
         #: never be acknowledged and work stealing would hang on a frame
         #: the network already discarded.
-        self.pending_acks: list[Response] = []
+        #: A probe for an executed request appends its cached reply here
+        #: too, already encoded — hosts drain both with :meth:`take_acks`.
+        self.pending_acks: list[Response | bytes] = []
         #: Ids already answered by an immediate drop-ack: if their frame
         #: shows up later it is consumed without a second response.
         self._acked: set[int] = set()
@@ -106,6 +117,12 @@ class RequestExecutor:
         self.poll_hook = None
         #: ``(request id, budget)`` of the currently executing request.
         self._running: tuple[int, Budget] | None = None
+        #: Ids ingested and not yet handed to :meth:`execute`.
+        self._queued: set[int] = set()
+        #: The reply cache: request id -> encoded response frame.
+        self.replies: dict[int, bytes] = {}
+        self.probes = 0
+        self.replies_resent = 0
 
     def drop(self, request_id: int) -> None:
         """Mark a request id cancelled (skipped, or preempted if running).
@@ -136,17 +153,73 @@ class RequestExecutor:
                 Response(request_id, None, DROPPED_BEFORE_EXECUTION, self.pid)
             )
 
+    def probe(self, request_id: int) -> None:
+        """Answer a client asking what became of a request, from what
+        this worker already knows — without ever cancelling work:
+
+        * *queued or running*: nothing; the answer is on its way, however
+          long the engine takes.
+        * *unseen* (above the high-water mark): exactly :meth:`drop` —
+          the id is parked and a :data:`DROPPED_BEFORE_EXECUTION` ack
+          minted, proof the client may re-send at once.
+        * *executed*: the cached reply frame is sent again (executing
+          nothing).  A reply that aged out of the cache, or was too
+          large for it, cannot be repaired this way: nothing is sent and
+          the client falls back on its give-up timeout.
+        """
+        self.probes += 1
+        running = self._running
+        if (running is not None and running[0] == request_id) or request_id in self._queued:
+            return
+        if request_id > self.max_executed:
+            self.drop(request_id)
+            return
+        frame = self.replies.get(request_id)
+        if frame is not None:
+            self.replies_resent += 1
+            self.pending_acks.append(frame)
+
+    def take_acks(self, codec: Codec = DEFAULT_CODEC) -> list[bytes]:
+        """Drain ``pending_acks`` as encoded frames, in order."""
+        acks, self.pending_acks = self.pending_acks, []
+        return [
+            ack if isinstance(ack, bytes) else encode_response_with_fallback(ack, codec)
+            for ack in acks
+        ]
+
     def ingest(self, request: Request) -> bool:
         """Handle a control frame in-band; True when ``request`` still
         needs :meth:`execute` (i.e. it was not a control frame)."""
         if request.request_id == CONTROL_ID:
             # Shape-check before acting: a control frame is unauthenticated
-            # input like any other, and a hostile ``drop`` payload must not
-            # take the reader thread down with a TypeError.
-            if request.op == "drop" and type(request.payload) is int:
-                self.drop(request.payload)
+            # input like any other, and a hostile payload must not take
+            # the reader thread down with a TypeError.
+            if type(request.payload) is int:
+                if request.op == "drop":
+                    self.drop(request.payload)
+                elif request.op == "probe":
+                    self.probe(request.payload)
             return False
+        self._queued.add(request.request_id)
         return True
+
+    def run(self, request: Request, codec: Codec = DEFAULT_CODEC) -> bytes | None:
+        """:meth:`execute` one request and frame its response, keeping
+        the frame for :meth:`probe`.  The *frame* is kept, not the
+        response: a snapshot payload aliases live monitor state, and a
+        reply sent again later must say what the first copy said.  Stale
+        refusals are not kept — they would overwrite the reply of the
+        execution they refused to repeat."""
+        fresh = request.request_id > self.max_executed
+        response = self.execute(request)
+        if response is None:
+            return None
+        frame = encode_response_with_fallback(response, codec)
+        if fresh and len(frame) <= REPLY_CACHE_MAX_BYTES:
+            self.replies[request.request_id] = frame
+            if len(self.replies) > REPLY_CACHE_SIZE:
+                del self.replies[next(iter(self.replies))]
+        return frame
 
     def execute(self, request: Request) -> Response | None:
         """Run one request, capturing any failure as response data.
@@ -170,6 +243,7 @@ class RequestExecutor:
         already-executed while the request is in fact still running.
         """
         if request.request_id <= self.max_executed:
+            self._queued.discard(request.request_id)
             self.dropped.discard(request.request_id)
             if request.request_id in self._acked:
                 self._acked.discard(request.request_id)
@@ -187,6 +261,10 @@ class RequestExecutor:
         self._running = (request.request_id, budget)
         try:
             self.max_executed = max(self.max_executed, request.request_id)
+            # Only now that ``_running`` names it: a probe racing this
+            # hand-over must find the request queued or running, never
+            # neither (it would take it for unseen and drop it).
+            self._queued.discard(request.request_id)
             if request.request_id in self.dropped:
                 self.dropped.discard(request.request_id)
                 if request.request_id in self._acked:
@@ -251,12 +329,12 @@ def service_worker_loop(inbox, response_writer, codec: Codec = DEFAULT_CODEC) ->
         request = decode_frame(item, codec)
         if executor.ingest(request):
             pending.append(request)
-        elif executor.pending_acks:
-            # A drop for a frame that never arrived mints its ack right
-            # here — ship it now, there may be nothing else to trigger it.
-            acks, executor.pending_acks = executor.pending_acks, []
-            for ack in acks:
-                _send_response(response_writer, ack, codec)
+        else:
+            # A drop or probe for a frame that never arrived mints its
+            # ack right here (a probe may also re-send a cached reply) —
+            # ship it now, there may be nothing else to trigger it.
+            for frame in executor.take_acks(codec):
+                _send_frame(response_writer, frame)
         return True
 
     def poll_inbox() -> None:
@@ -285,23 +363,16 @@ def service_worker_loop(inbox, response_writer, codec: Codec = DEFAULT_CODEC) ->
             running = ingest(item)
         if not pending:
             continue
-        response = executor.execute(pending.popleft())
-        if response is None:
+        frame = executor.run(pending.popleft(), codec)
+        if frame is None:
             continue  # already answered by an immediate drop-ack
-        if not _send_response(response_writer, response, codec):
+        if not _send_frame(response_writer, frame):
             break  # parent closed/broke the pipe: exit the loop
     response_writer.close()
 
 
-def _send_response(response_writer, response: Response, codec: Codec) -> bool:
-    """Frame and ship one response; False only when the pipe is gone.
-
-    The unpicklable-payload fallback lives in
-    :func:`~repro.transport.frames.encode_response_with_fallback`:
-    a response that cannot cross the codec fails only its own request,
-    not the worker and every session on it.
-    """
-    frame = encode_response_with_fallback(response, codec)
+def _send_frame(response_writer, frame: bytes) -> bool:
+    """Ship one encoded response; False only when the pipe is gone."""
     try:
         response_writer.send_bytes(frame)
     except Exception:  # noqa: BLE001 — pipe itself is gone
@@ -314,6 +385,51 @@ def _session(sessions: dict[int, OnlineMonitor], session_id: int) -> OnlineMonit
         return sessions[session_id]
     except KeyError:
         raise MonitorError(f"unknown session {session_id}") from None
+
+
+def _observe_all(monitor: OnlineMonitor, events) -> tuple[str | None, int]:
+    """Buffer ``events`` one by one; returns ``(rejection note, accepted)``.
+
+    Events validate independently, like repeated in-process ``observe``
+    calls: a rejected event must not drop the valid events batched after
+    it.  All rejections surface in one note.
+    """
+    rejected: list[str] = []
+    for process, local_time, props, deltas in events:
+        try:
+            monitor.observe(process, local_time, props, deltas)
+        except MonitorError as exc:
+            rejected.append(str(exc))
+    if not rejected:
+        return None, len(events)
+    suffix = "" if len(rejected) == 1 else f" (+{len(rejected) - 1} more)"
+    return (
+        f"{len(rejected)}/{len(events)} observed event(s) rejected: "
+        f"{rejected[0]}{suffix}",
+        len(events) - len(rejected),
+    )
+
+
+def _feed_then(sessions: dict[int, OnlineMonitor], session_id: int, events, step):
+    """Buffer ``events`` on the session's monitor, then run ``step()``;
+    returns ``(step result, rejection note)``.
+
+    A step that fails — preempted, or refused by the monitor — takes the
+    events back out (the monitor left them at the tail of its buffer),
+    so a failed call leaves the stream exactly as it found it and a
+    retry may carry the same events again.
+    """
+    monitor = sessions[session_id]
+    note, accepted = _observe_all(monitor, events)
+    try:
+        return step(), note
+    except MonitorError:
+        if accepted:
+            snapshot = monitor.snapshot()
+            del snapshot["buffer"][-accepted:]
+            snapshot["events_consumed"] -= accepted
+            sessions[session_id] = OnlineMonitor.restore(snapshot)
+        raise
 
 
 def _dispatch(
@@ -342,25 +458,18 @@ def _dispatch(
         return session_id
     if op == "session_observe":
         session_id, events = payload
-        monitor = _session(sessions, session_id)
-        # Events validate independently, like repeated in-process
-        # ``observe`` calls: a rejected event must not drop the valid
-        # events batched after it.  All rejections surface in one error.
-        rejected: list[str] = []
-        for process, local_time, props, deltas in events:
-            try:
-                monitor.observe(process, local_time, props, deltas)
-            except MonitorError as exc:
-                rejected.append(str(exc))
-        if rejected:
-            suffix = "" if len(rejected) == 1 else f" (+{len(rejected) - 1} more)"
-            raise MonitorError(
-                f"{len(rejected)}/{len(events)} observed event(s) rejected: "
-                f"{rejected[0]}{suffix}"
-            )
+        note, _ = _observe_all(_session(sessions, session_id), events)
+        if note is not None:
+            raise MonitorError(note)
         return len(events)
     if op == "session_advance":
-        session_id, boundary = payload
+        # One frame per boundary: ``(session_id, boundary, events)``
+        # buffers the client's events first and answers ``(verdicts,
+        # rejection note or None)``.  Nothing in ``src/`` sends the
+        # 2-field ``(session_id, boundary)`` form (answered with bare
+        # verdicts) any more; it is kept for the frozen ledger replay
+        # and the older tests, as is ``session_finish (session_id,)``.
+        session_id, boundary, *carried = payload
         monitor = _session(sessions, session_id)
         if boundary == monitor.frontier and boundary > 0:
             # Memoized exactly-once reply: the frontier already moved
@@ -369,9 +478,17 @@ def _dispatch(
             # so the connection-level fence cannot catch it).  Re-answer
             # with the verdicts decided so far — the same cumulative set
             # ``advance_to`` returned — instead of re-executing or
-            # surfacing the in-process boundary error.
-            return monitor.current_verdicts
-        return monitor.advance_to(boundary, budget=budget)
+            # surfacing the in-process boundary error.  Events it
+            # carries were buffered by that first execution; if that
+            # execution rejected some, its note went with the first
+            # reply (best-effort: here it is not repeated).
+            verdicts, note = monitor.current_verdicts, None
+        else:
+            verdicts, note = _feed_then(
+                sessions, session_id, carried[0] if carried else (),
+                lambda: monitor.advance_to(boundary, budget=budget),
+            )
+        return (verdicts, note) if carried else verdicts
     if op == "session_poll":
         (session_id,) = payload
         monitor = _session(sessions, session_id)
@@ -382,8 +499,15 @@ def _dispatch(
             finished=monitor.finished,
         )
     if op == "session_finish":
-        (session_id,) = payload
-        result = _session(sessions, session_id).finish(budget=budget)
+        # ``(session_id, events)`` (or the ledger's ``(session_id,)``).
+        # Rejections in the carried events are not reported: a finished
+        # stream has no later call to surface them on.
+        session_id, *carried = payload
+        monitor = _session(sessions, session_id)
+        result, _ = _feed_then(
+            sessions, session_id, carried[0] if carried else (),
+            lambda: monitor.finish(budget=budget),
+        )
         del sessions[session_id]
         return result
     if op == "session_close":

@@ -12,8 +12,8 @@ registry, private drop set) and a pair of threads —
 
 * a **reader** that ingests frames continuously: heartbeats are answered
   inline (so liveness stays fresh during long monitor tasks), ``drop``
-  control frames take effect immediately, and everything else queues for
-  the executor in FIFO order;
+  and ``probe`` control frames take effect immediately, and everything
+  else queues for the executor in FIFO order;
 * an **executor** that runs requests one at a time and writes responses
   back under a per-connection write lock.
 
@@ -72,7 +72,6 @@ from repro.transport.frames import (
     Request,
     Response,
     encode_frame,
-    encode_response_with_fallback,
     read_frame,
 )
 
@@ -321,17 +320,19 @@ class _ConnectionHandler:
             # Answered here, not in the executor: a pong must not
             # queue behind a long monitor task or liveness would
             # false-positive on a merely busy worker.
-            self._send(Response(HEARTBEAT_ID, "pong", None, self._executor.pid))
+            pong = Response(HEARTBEAT_ID, "pong", None, self._executor.pid)
+            self._send(encode_frame(pong, self._codec))
             return
-        acks: list[Response] = []
+        acks: list[bytes] = []
         with self._wakeup:
             if self._executor.ingest(frame):
                 self._pending.append(frame)
-            elif self._executor.pending_acks:
-                # A drop for a frame that never arrived mints its ack in
-                # ingest; ship it from here (the reader), since nothing
+            else:
+                # A drop or probe for a frame that never arrived mints
+                # its ack in ingest (a probe may also re-send a cached
+                # reply); ship it from here (the reader), since nothing
                 # will ever reach the executor thread to trigger it.
-                acks, self._executor.pending_acks = self._executor.pending_acks, []
+                acks = self._executor.take_acks(self._codec)
             self._wakeup.notify_all()
         for ack in acks:
             self._send(ack)
@@ -344,14 +345,13 @@ class _ConnectionHandler:
                 if self._stopped and not self._pending:
                     return
                 request = self._pending.popleft()
-            response = self._executor.execute(request)
-            if response is None:
+            frame = self._executor.run(request, self._codec)
+            if frame is None:
                 continue  # already answered by an immediate drop-ack
-            if not self._send(response):
+            if not self._send(frame):
                 return
 
-    def _send(self, response: Response) -> bool:
-        frame = encode_response_with_fallback(response, self._codec)
+    def _send(self, frame: bytes) -> bool:
         try:
             with self._write_lock:
                 self._sock.sendall(frame)
@@ -371,8 +371,9 @@ class _ProcessConnectionHandler:
 
     * reader thread: socket frames → heartbeats answered inline (a pong
       must never wait on a busy child), everything else re-framed into
-      the child's inbox (``drop`` control frames included — the worker
-      loop's opportunistic drain gives them overtaking semantics);
+      the child's inbox (``drop`` and ``probe`` control frames included
+      — the worker loop's opportunistic drain gives them overtaking
+      semantics);
     * pump thread: response frames off the child's pipe → socket,
       verbatim (the child already framed them).
 

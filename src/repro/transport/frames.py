@@ -107,8 +107,10 @@ DROPPED_BEFORE_EXECUTION = "CancelledError: dropped before execution"
 STALE_REQUEST_PREFIX = "ServiceError: stale request id"
 
 #: Every op the request executor understands, for conformance checks and
-#: protocol docs.  ``drop`` rides on :data:`CONTROL_ID` and produces no
-#: response; everything else produces exactly one.
+#: protocol docs.  ``drop`` and ``probe`` ride on :data:`CONTROL_ID` and
+#: produce no response of their own (a probe may make the worker mint a
+#: drop ack or re-send a cached reply); everything else produces exactly
+#: one.
 KNOWN_OPS = (
     "monitor",
     "shard",
@@ -129,6 +131,7 @@ KNOWN_OPS = (
     "sleep",
     "crash",
     "drop",
+    "probe",
 )
 
 FRAME_MAGIC = b"RV"
@@ -254,12 +257,17 @@ def pack_observe_request(request: "Request") -> bytes | None:
     payload = request.payload
     if type(payload) is not tuple or len(payload) != 2:
         return None
-    session_id, events = payload
+    return _pack_events(request.request_id, *payload)
+
+
+def _pack_events(request_id, session_id, events) -> bytes | None:
+    """The packed observe body (head + string table + columns), which
+    the coalesced advance/finish calls carry behind their own head."""
     if (
-        type(request.request_id) is not int
+        type(request_id) is not int
         or type(session_id) is not int
         or type(events) not in (list, tuple)
-        or not _INT64_MIN <= request.request_id <= _INT64_MAX
+        or not _INT64_MIN <= request_id <= _INT64_MAX
         or not _INT64_MIN <= session_id <= _INT64_MAX
         or len(events) > 0xFFFFFFFF
     ):
@@ -312,7 +320,7 @@ def pack_observe_request(request: "Request") -> bytes | None:
             return None  # table indices are u16; a batch this odd takes pickle
         count = len(events)
         out = [
-            _PACK_HEAD.pack(request.request_id, session_id, count, len(strings))
+            _PACK_HEAD.pack(request_id, session_id, count, len(strings))
         ]
         for text in strings:
             data = text.encode()
@@ -355,6 +363,12 @@ _CALL_FINISH = 3
 _CALL_OPEN = 4
 _ACK_OPEN = 5
 _ACK_FINISH = 6
+#: One frame per boundary: an advance (or finish) that carries the
+#: client's buffered events — this head, then the packed observe body
+#: (which holds the request and session ids).
+_CALL_ADVANCE_EVENTS = 7
+_CALL_FINISH_EVENTS = 8
+_PACK_EVENTS_HEAD = struct.Struct(">Bq")  # opcode, boundary (0 for finish)
 
 _PACK_OPEN_HEAD = struct.Struct(">Bqqq")  # opcode, request_id, session_id, epsilon
 _PACK_ACK_FINISH_HEAD = struct.Struct(">Bqq")  # opcode, request_id, worker
@@ -396,15 +410,30 @@ def pack_call_request(request: "Request") -> bytes | None:
     (exact payload tuples of in-range ints), anything else returns
     ``None`` and takes the pickle path.  ``session_advance``,
     ``session_poll`` and ``session_finish`` each fit one fixed 25-byte
-    struct, so the entire frame is a single C-level pack.
+    struct, so the entire frame is a single C-level pack; an advance or
+    finish that carries buffered events (``(session_id, boundary,
+    events)`` / ``(session_id, events)``) is a 9-byte head followed by
+    the packed observe body.
     """
     if type(request.request_id) is not int or not (
         _INT64_MIN <= request.request_id <= _INT64_MAX
     ):
         return None
     payload = request.payload
+    if type(payload) is not tuple:
+        return None
+    if (request.op, len(payload)) in ((ADVANCE_OP, 3), (FINISH_OP, 2)):
+        session_id, *boundary, events = payload
+        boundary = boundary[0] if boundary else 0
+        if type(boundary) is not int or not _INT64_MIN <= boundary <= _INT64_MAX:
+            return None
+        body = _pack_events(request.request_id, session_id, events)
+        if body is None:
+            return None
+        opcode = _CALL_ADVANCE_EVENTS if request.op == ADVANCE_OP else _CALL_FINISH_EVENTS
+        return _PACK_EVENTS_HEAD.pack(opcode, boundary) + body
     if request.op == ADVANCE_OP:
-        if type(payload) is not tuple or len(payload) != 2:
+        if len(payload) != 2:
             return None
         session_id, boundary = payload
         if (
@@ -416,7 +445,7 @@ def pack_call_request(request: "Request") -> bytes | None:
             return None
         return _PACK_CALL.pack(_CALL_ADVANCE, request.request_id, session_id, boundary)
     if request.op in (POLL_OP, FINISH_OP):
-        if type(payload) is not tuple or len(payload) != 1:
+        if len(payload) != 1:
             return None
         (session_id,) = payload
         if type(session_id) is not int or not _INT64_MIN <= session_id <= _INT64_MAX:
@@ -693,6 +722,13 @@ def unpack_call_request(payload: bytes) -> Any:
             if opcode == _CALL_FINISH:
                 return Request(request_id, FINISH_OP, (session_id,))
             return Response(request_id, session_id, None, argument, op=OPEN_OP)
+        if opcode in (_CALL_ADVANCE_EVENTS, _CALL_FINISH_EVENTS):
+            _, boundary = _PACK_EVENTS_HEAD.unpack_from(payload, 0)
+            inner = unpack_observe_request(payload[_PACK_EVENTS_HEAD.size :])
+            session_id, events = inner.payload
+            if opcode == _CALL_FINISH_EVENTS:
+                return Request(inner.request_id, FINISH_OP, (session_id, events))
+            return Request(inner.request_id, ADVANCE_OP, (session_id, boundary, events))
         if opcode == _CALL_OPEN:
             return _unpack_open_request(payload)
         if opcode == _ACK_FINISH:

@@ -242,8 +242,8 @@ class TestRecovery:
     def test_transient_send_failure_does_not_lose_buffered_events(self):
         """A send-side ServiceError with the endpoint still live resolves
         to a recovery whose only pick is the origin itself; that path
-        must leave the client buffer intact so the retried flush
-        delivers the events instead of vacuously succeeding on an empty
+        must leave the client buffer intact so the retried advance
+        carries the events instead of vacuously succeeding on an empty
         buffer (stranding them in the journal, to be truncated away by
         the next checkpoint)."""
         with MonitorService(workers=1) as service:
@@ -255,14 +255,14 @@ class TestRecovery:
             failed = []
 
             def flaky(worker_index, op, payload):
-                if op == "session_observe" and not failed:
+                if op == "session_advance" and not failed:
                     failed.append(op)
                     raise ServiceError("transient send failure")
                 return real(worker_index, op, payload)
 
             service._send_session = flaky
             try:
-                session.advance_to(5)  # first flush fails, retry must deliver
+                session.advance_to(5)  # first send fails, retry must deliver
             finally:
                 service._send_session = real
             assert failed
@@ -287,6 +287,34 @@ class TestRecovery:
             result = session.finish()  # replay must not re-raise the rejection
             assert session.recoveries == 1
             assert result.verdict_counts == _reference(4, 11, [6])
+
+    @pytest.mark.parametrize("checkpoint_between", [False, True])
+    def test_events_before_a_repeated_boundary_survive_recovery(self, checkpoint_between):
+        """advance_to(5), observe, advance_to(5) again: the repeat moves
+        nothing on the worker, and replay carries each observe run
+        inside the advance after it — where an advance that finds the
+        frontier already at its boundary drops what it carries.  The
+        event must reach the rebuilt monitor all the same, whether the
+        first advance is still in the journal or already behind a
+        checkpoint."""
+        reference = OnlineMonitor(SPEC, epsilon=2)
+        reference.observe("P1", 1, {"a"})
+        reference.advance_to(5)
+        reference.observe("P1", 6, {"b"})
+        with MonitorService(workers=2) as service:
+            session = service.open_session(
+                SPEC, epsilon=2, checkpoint={"every_events": 10_000}
+            )
+            session.observe("P1", 1, {"a"})
+            session.advance_to(5)
+            if checkpoint_between:
+                assert session.checkpoint_now()
+            session.observe("P1", 6, {"b"})
+            session.advance_to(5)
+            service._connections[session.worker_index].kill()
+            result = session.finish()
+            assert session.recoveries == 1
+            assert result.verdict_counts == reference.finish().verdict_counts
 
 
 class TestWarmStandby:

@@ -228,9 +228,11 @@ class TestSlowButAliveExactlyOnce:
         # Every post-grace frame stalls 0.6s per lane while the
         # per-attempt timeout is 0.9s: each synchronising call times
         # out, fences, and then receives the *original* response during
-        # the fence wait — outcome "done", zero resends.
+        # the fence wait — outcome "done", zero resends.  (Grace covers
+        # the session_open round trip only: the events ride inside the
+        # advance frame, which is therefore the first stalled one.)
         schedule = FaultSchedule(
-            seed="slow-alive", delay=1.0, delay_seconds=0.6, grace=2
+            seed="slow-alive", delay=1.0, delay_seconds=0.6, grace=1
         )
         reference = OnlineMonitor(SPEC, epsilon=EPSILON)
         reference.observe("P1", 1, {"a"})
@@ -308,8 +310,7 @@ class TestOvertakenReaper:
                     rid = next(service._request_ids)
                     future.request_id = rid
                     service._futures[rid] = future
-                    service._request_to_worker[rid] = 0
-                    service._outstanding[0] += 1
+                    service._pending[0][rid] = None
             order: list[str] = []
             lost.add_done_callback(lambda: order.append("lost"))
             answered.add_done_callback(lambda: order.append("answered"))
@@ -336,8 +337,7 @@ class TestOvertakenReaper:
                     rid = next(service._request_ids)
                     future.request_id = rid
                     service._futures[rid] = future
-                    service._request_to_worker[rid] = 0
-                    service._outstanding[0] += 1
+                    service._pending[0][rid] = None
             from repro.service.worker import Response
 
             on_response(Response(dropped.request_id, None, DROPPED_BEFORE_EXECUTION))
