@@ -160,7 +160,7 @@ def _restore_outcome(
     return SegmentOutcome(residuals, traces_enumerated, truncated, saturated, preempted)
 
 
-def _carried_pairs(
+def carried_column(
     carried: Mapping[Formula, int] | Sequence[tuple[int, int]],
 ) -> list[tuple[int, int]]:
     """Normalize a carried set to a merged ``(arena id, count)`` column.
@@ -243,7 +243,7 @@ def stream_segment_outcomes(
     closed_verdicts: set[bool] = set()
     # Interned carried residuals: structurally equal residuals collapse
     # to one (id, count) column entry up front.
-    pairs = _carried_pairs(carried)
+    pairs = carried_column(carried)
     if not pairs:
         # Nothing carried, nothing to progress: every verdict is already
         # decided, so the segment's traces are not worth enumerating.
@@ -277,10 +277,9 @@ def stream_segment_outcomes(
             outcome.traces_enumerated += 1
             shift = 0 if anchor is None else trace.start_time - anchor
             if columnar:
-                progressed_pairs = kernel.progress_trace(
+                for fid, count in kernel.progress_trace(
                     trace, shift, max(boundary, trace.end_time), budget=budget
-                )
-                for fid, count in progressed_pairs:
+                ):
                     if saturate_final and fid not in id_counts:
                         closed_verdicts.add(close_id(fid))
                     outcome.add_id(fid, count)
@@ -419,7 +418,7 @@ def partitioned_segment_outcomes(
 
     from repro.service.tasks import SegmentPartTask  # cycle: tasks -> monitor -> here
 
-    pairs = _carried_pairs(carried)
+    pairs = carried_column(carried)
     column = pack_carried_column(pairs)
     events = list(hb.events)
     masks = [hb.predecessors_mask(i) for i in range(len(events))]

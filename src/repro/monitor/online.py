@@ -24,13 +24,14 @@ from repro.encoding.trace_extractor import segment_carry
 from repro.encoding.verdict_enumerator import (
     DEFAULT_TRACE_BUDGET,
     SegmentOutcome,
+    carried_column,
     enumerate_segment_outcomes,
 )
 from repro.errors import MonitorError, PreemptedError
-from repro.mtl.ast import FALSE_ID, TRUE_ID, Formula, formula_of
+from repro.mtl.ast import Formula, formula_of, intern_id
 from repro.monitor.verdicts import MonitorResult, SegmentReport
 from repro.progression.budget import Budget
-from repro.progression.progressor import close
+from repro.progression.progressor import close_id
 
 #: Version tag carried by :meth:`OnlineMonitor.snapshot` payloads, so a
 #: state produced by one revision is rejected (not misread) by another.
@@ -53,7 +54,9 @@ class OnlineMonitor:
         self._max_traces = max_traces_per_segment
         self._backend = backend
         self._buffer: list[tuple[str, int, frozenset[str], Mapping[str, float] | None]] = []
-        self._carried: dict[Formula, int] = {formula: 1}
+        #: The carried residuals as an ``(arena id, count)`` column;
+        #: formulas are built only for :meth:`snapshot`.
+        self._carried: list[tuple[int, int]] = [(intern_id(formula), 1)]
         self._anchor: int | None = None
         self._frontier = 0  # everything strictly below is already consumed
         self._first_segment_done = False
@@ -209,18 +212,7 @@ class OnlineMonitor:
         )
         self._segment_counter += 1
         self._first_segment_done = True
-        # Classify on the id column (constants have fixed sentinel ids);
-        # undecided residuals materialize into the carried dict, which is
-        # the snapshot wire format — arena ids never cross processes.
-        carried: dict[Formula, int] = {}
-        for fid, count in outcome.id_counts().items():
-            if fid == TRUE_ID:
-                self._result.record(True, count)
-            elif fid == FALSE_ID:
-                self._result.record(False, count)
-            else:
-                carried[formula_of(fid)] = count
-        self._carried = carried
+        self._carried = self._result.record_decided(outcome.id_counts())
         self._anchor = boundary
         self._base_valuation, self._frontier_props = segment_carry(
             computation.events, self._base_valuation, self._frontier_props
@@ -248,7 +240,8 @@ class OnlineMonitor:
             "max_traces": self._max_traces,
             "backend": self._backend,
             "buffer": list(self._buffer),
-            "carried": dict(self._carried),
+            # Arena ids never cross processes: the wire form is formulas.
+            "carried": {formula_of(fid): count for fid, count in self._carried},
             "anchor": self._anchor,
             "frontier": self._frontier,
             "first_segment_done": self._first_segment_done,
@@ -284,7 +277,7 @@ class OnlineMonitor:
             backend=snapshot["backend"],
         )
         monitor._buffer = list(snapshot["buffer"])
-        monitor._carried = dict(snapshot["carried"])
+        monitor._carried = carried_column(snapshot["carried"])
         monitor._anchor = snapshot["anchor"]
         monitor._frontier = snapshot["frontier"]
         monitor._first_segment_done = snapshot["first_segment_done"]
@@ -343,8 +336,8 @@ class OnlineMonitor:
             last_time = max(e[1] for e in self._buffer)
             epsilon_pad = self._epsilon  # allow skew-shifted timestamps
             self.advance_to(last_time + epsilon_pad, budget=budget)
-        for residual, count in self._carried.items():
-            self._result.record(close(residual), count)
-        self._carried = {}
+        for fid, count in self._carried:
+            self._result.record(close_id(fid), count)
+        self._carried = []
         self._finished = True
         return self._result

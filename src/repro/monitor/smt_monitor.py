@@ -24,32 +24,49 @@ from repro.distributed.segmentation import Segment, segment_computation
 from repro.encoding.trace_extractor import segment_carry
 from repro.encoding.verdict_enumerator import (
     DEFAULT_TRACE_BUDGET,
+    carried_column,
     enumerate_segment_outcomes,
     partitioned_segment_outcomes,
 )
 from repro.errors import MonitorError, PreemptedError
-from repro.mtl.ast import FALSE_ID, TRUE_ID, Formula, formula_of
+from repro.mtl.ast import Formula, formula_of, intern_id
 from repro.monitor.verdicts import MonitorResult, SegmentReport
 from repro.progression.budget import Budget
-from repro.progression.progressor import close
+from repro.progression.progressor import close, close_id
 
 
 @dataclass
 class PipelineState:
     """Everything the segment pipeline carries from one segment to the next.
 
-    The per-segment loop is a fold over this state: carried residual
-    formulas (with trace-class counts), the time anchor the residuals are
-    anchored at, and the accumulated valuation/frontier context of the
-    already-consumed prefix.  Exposing it lets the parallel orchestrator
-    pause the pipeline at a segment boundary, shard the carried residuals
-    across workers, and resume each shard independently.
+    The per-segment loop is a fold over this state: the carried residual
+    column (``(arena id, trace-class count)`` pairs — the kernel's native
+    currency, so a residual crossing a boundary builds no object), the
+    time anchor the residuals are anchored at, and the accumulated
+    valuation/frontier context of the already-consumed prefix.  Exposing
+    it lets the parallel orchestrator pause the pipeline at a segment
+    boundary, shard the carried residuals across workers, and resume each
+    shard independently.
     """
 
-    carried: dict[Formula, int]
+    column: list[tuple[int, int]]
     anchor: int | None = None
     base_valuation: dict[str, float] = field(default_factory=dict)
     frontier: dict[str, frozenset[str]] = field(default_factory=dict)
+
+    @property
+    def carried(self) -> dict[Formula, int]:
+        """The column as canonical formulas, materialized per read — for
+        whatever leaves the process or the API (shard tasks, reports)."""
+        return {formula_of(fid): count for fid, count in self.column}
+
+    def __reduce__(self):
+        # Arena ids are process-local: a pickled state ships formulas.
+        return (_restore_state, (self.carried, self.anchor, self.base_valuation, self.frontier))
+
+
+def _restore_state(carried, anchor, base_valuation, frontier) -> PipelineState:
+    return PipelineState(carried_column(carried), anchor, base_valuation, frontier)
 
 
 class SmtMonitor:
@@ -153,7 +170,7 @@ class SmtMonitor:
 
     def initial_state(self) -> PipelineState:
         """The pipeline state before any segment has been consumed."""
-        return PipelineState(carried={self._formula: 1})
+        return PipelineState([(intern_id(self._formula), 1)])
 
     def segments_of(self, computation: DistributedComputation) -> list[Segment]:
         """The non-empty segments the pipeline will process, in order."""
@@ -201,7 +218,7 @@ class SmtMonitor:
                 self._partition_parts,
                 view,
                 epsilon,
-                state.carried,
+                state.column,
                 state.anchor,
                 boundary=segment.hi,
                 clamp_lo=clamp_lo,
@@ -222,7 +239,7 @@ class SmtMonitor:
             outcome = enumerate_segment_outcomes(
                 view,
                 epsilon,
-                state.carried,
+                state.column,
                 state.anchor,
                 boundary=segment.hi,
                 clamp_lo=clamp_lo,
@@ -273,23 +290,11 @@ class SmtMonitor:
             )
         )
 
-        # Classify on the outcome's id column: the constants' arena ids
-        # are fixed sentinels, and ids are canonical per structure, so
-        # undecided residuals materialize straight into the carried dict
-        # (no merging needed) for the pickled/sharded boundary contract.
-        carried: dict[Formula, int] = {}
-        for fid, count in outcome.id_counts().items():
-            if fid == TRUE_ID:
-                result.record(True, count)
-            elif fid == FALSE_ID:
-                result.record(False, count)
-            else:
-                carried[formula_of(fid)] = count
         base_valuation, frontier = segment_carry(
             segment.events, state.base_valuation, state.frontier
         )
         return PipelineState(
-            carried=carried,
+            column=result.record_decided(outcome.id_counts()),
             anchor=segment.hi,
             base_valuation=base_valuation,
             frontier=frontier,
@@ -345,18 +350,18 @@ class SmtMonitor:
         """Run segments ``start..`` from a given carried state and close the
         leftover residuals.  ``run()`` is ``run_from(c, initial_state(), 0)``;
         parallel shard workers call it with ``start > 0`` and a slice of the
-        carried residual formulas."""
+        carried residuals."""
         result = MonitorResult(self._formula)
         hb = computation.happened_before()
         segments = self.segments_of(computation)
         for order in range(start, len(segments)):
-            if not state.carried:
+            if not state.column:
                 break
             state = self.step(
                 hb, segments, order, state, result, computation.epsilon, budget=budget
             )
-        for residual, count in state.carried.items():
-            result.record(close(residual), count)
+        for fid, count in state.column:
+            result.record(close_id(fid), count)
         return result
 
 

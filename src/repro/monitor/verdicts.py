@@ -11,8 +11,9 @@ experiments use to gauge how fragile a protocol parameterisation is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.mtl.ast import Formula
+from repro.mtl.ast import FALSE_ID, TRUE_ID, Formula
 
 
 @dataclass
@@ -91,6 +92,20 @@ class MonitorResult:
 
     def record(self, verdict: bool, count: int = 1) -> None:
         self.verdict_counts[verdict] = self.verdict_counts.get(verdict, 0) + count
+
+    def record_decided(self, id_counts: Mapping[int, int]) -> list[tuple[int, int]]:
+        """Record the decided entries of a segment's ``arena id -> count``
+        column and return the rest: the ``(id, count)`` column carried
+        into the next segment.  The constants' ids are fixed sentinels."""
+        carried: list[tuple[int, int]] = []
+        for fid, count in id_counts.items():
+            if fid == TRUE_ID:
+                self.record(True, count)
+            elif fid == FALSE_ID:
+                self.record(False, count)
+            else:
+                carried.append((fid, count))
+        return carried
 
     def merge(self, other: "MonitorResult", weight: int = 1) -> "MonitorResult":
         """Fold another result into this one (in place, returns self).

@@ -44,7 +44,7 @@ from repro.distributed.computation import DistributedComputation
 from repro.errors import MonitorError
 from repro.monitor.smt_monitor import SmtMonitor
 from repro.monitor.verdicts import MonitorResult, SegmentReport
-from repro.progression.progressor import close
+from repro.progression.progressor import close_id
 from repro.mtl.ast import Formula, intern_id
 from repro.service import MonitorService, default_workers
 from repro.service.reports import BatchReport
@@ -227,18 +227,18 @@ class ParallelMonitor:
         try:
             order = 0
             while order < len(segments):
-                if len(state.carried) >= self._min_shard:
+                if len(state.column) >= self._min_shard:
                     break  # enough independent work to split; segments[order:] go parallel
-                if not state.carried:
+                if not state.column:
                     break
                 state = engine.step(
                     hb, segments, order, state, result, computation.epsilon
                 )
                 order += 1
 
-            if order >= len(segments) or len(state.carried) < self._min_shard:
-                for residual, count in state.carried.items():
-                    result.record(close(residual), count)
+            if order >= len(segments) or len(state.column) < self._min_shard:
+                for fid, count in state.column:
+                    result.record(close_id(fid), count)
                 return result
 
             shards = self._shard_residuals(state.carried)

@@ -11,16 +11,19 @@ visit a chain of ``isinstance`` checks.
 over the intern arena (:data:`repro.mtl.ast.ARENA`):
 
 * the carried residual set is an ``(arena id, count)`` column;
-* per distinct anchor shift ``d``, the kernel re-anchors the roots at
-  the id level and compiles a *plan*: the ids reachable from the shifted
-  roots, listed ascending — which **is** a topological order, because
-  children are always interned before their parents — with per-node
-  "programs" (kind code, child positions in the plan, encoded interval
-  bounds) precomputed once;
-* per trace, one flat memo ``res[local_index * n + position]`` of
-  result ids replaces the per-formula memo dict: every node is visited
-  exactly once per position, in one loop, with int-indexed reads —
-  residuals sharing subformulas automatically share the work;
+* the kernel compiles a *plan*: ids listed ascending — which **is** a
+  topological order, because children are always interned before their
+  parents — with per-node "programs" (kind code, child rows, encoded
+  interval bounds) precomputed once.  The plan is split where the
+  verdict stops reading: a shift-independent *body* (everything under a
+  temporal operator, needed at every position) and, per distinct anchor
+  shift ``d``, a *head* (the roots re-anchored at the id level and
+  their boolean top level, needed at position 0 only) that ends in one
+  ``(row, summed count)`` entry per distinct shifted root;
+* per trace, one flat memo ``res[row * n + position]`` of result ids
+  replaces the per-formula memo dict: every node is visited at most
+  once per position, in one loop, with int-indexed reads — residuals
+  sharing subformulas automatically share the work;
 * interval windows resolve to contiguous position ranges by binary
   search over the (non-decreasing) timestamp tuple, computed once per
   distinct interval per trace;
@@ -56,6 +59,7 @@ from repro.mtl.ast import (
     KIND_PRED,
     KIND_TRUE,
     KIND_UNTIL,
+    TEMPORAL_KINDS,
     TRUE_ID,
     formula_of,
     id_always,
@@ -79,20 +83,20 @@ __all__ = [
 
 # -- the shared plan cache ----------------------------------------------------------
 #
-# Plans depend only on the shifted root ids and the (append-only) arena, so
-# they are valid process-wide, not just for the one progressor instance that
-# compiled them.  Successive ``stream_segment_outcomes`` calls on the same
-# stream build a fresh progressor per segment but carry structurally
+# Plans depend only on the root ids, the shift and the (append-only) arena,
+# so they are valid process-wide, not just for the one progressor instance
+# that compiled them.  Successive ``stream_segment_outcomes`` calls on the
+# same stream build a fresh progressor per segment but carry structurally
 # recurring residual sets — keying by ``(root ids, shift)`` lets segment k+1
 # reuse segment k's compilations instead of recompiling identical plans.
 
-_PLAN_CACHE: "OrderedDict[tuple, tuple[list[tuple], list[int]]]" = OrderedDict()
+_PLAN_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _PLAN_CACHE_LIMIT = 256
 _PLAN_LOCK = threading.Lock()
 _PLAN_STATS = {"hits": 0, "misses": 0}
 
 #: Cells one kernel's suffix cache may hold; past it columns are computed
-#: but no longer kept.  A stored suffix is charged one cell per plan node
+#: but no longer kept.  A stored suffix is charged one cell per body node
 #: (its column of result ids) plus a flat ``_ENTRY_CELLS`` for its key,
 #: dict slot and pinned state (~250 bytes measured), so the bound holds
 #: for narrow plans over many traces as well as for wide columns.  At 8
@@ -102,8 +106,9 @@ _MAX_CACHED_CELLS = 1 << 19
 _ENTRY_CELLS = 32
 
 
-def _shared_plan(roots_key: tuple[int, ...], shift: int, compile_fn):
-    key = (roots_key, shift)
+def _shared_plan(key: tuple, compile_fn):
+    """The plan under ``key`` — ``(root ids, shift)`` for a head,
+    ``(root ids, None)`` for the body — compiling it on a miss."""
     with _PLAN_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
@@ -112,8 +117,8 @@ def _shared_plan(roots_key: tuple[int, ...], shift: int, compile_fn):
             return plan
         _PLAN_STATS["misses"] += 1
     # Compile outside the lock: racing threads compile identical plans and
-    # the last write wins — cheaper than holding the lock through _compile.
-    plan = compile_fn(shift)
+    # the last write wins — cheaper than holding the lock through it.
+    plan = compile_fn()
     with _PLAN_LOCK:
         _PLAN_CACHE[key] = plan
         if len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
@@ -139,51 +144,308 @@ def clear_plan_cache() -> None:
         _PLAN_STATS["misses"] = 0
 
 
+_BOOLEAN_KINDS = frozenset({KIND_NOT, KIND_AND, KIND_OR})
+
+
+def _reachable(roots, top_level: bool = False) -> list[int]:
+    """The ids reachable from ``roots``, ascending — a topological order,
+    children being interned before their parents.  ``top_level`` follows
+    ``NOT/AND/OR`` only: the first temporal node on a path is listed, its
+    operands are not."""
+    kinds = ARENA.kinds
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        fid = stack.pop()
+        if fid in seen:
+            continue
+        seen.add(fid)
+        if not top_level or kinds[fid] in _BOOLEAN_KINDS:
+            stack.extend(ARENA.children(fid))
+    return sorted(seen)
+
+
+def _programs(universe: list[int], local: dict[int, int], operand_local: dict[int, int]):
+    """One program tuple per node of ``universe``: ``(kind, payload,
+    extra)`` where ``payload`` is the atom name / predicate / child row(s)
+    and ``extra`` carries ``(operand id(s), iv_lo, iv_hi)`` for temporal
+    kinds (the *unprogressed* operand ids feed residual construction).
+    Boolean children resolve to rows through ``local``, temporal operands
+    through ``operand_local`` (a head's operands are body rows)."""
+    programs: list[tuple] = []
+    for fid in universe:
+        kind = ARENA.kinds[fid]
+        if kind == KIND_TRUE or kind == KIND_FALSE:
+            programs.append((kind, fid, None))
+        elif kind == KIND_ATOM:
+            programs.append((kind, ARENA.names[fid], None))
+        elif kind == KIND_PRED:
+            programs.append((kind, formula_of(fid).predicate, None))
+        elif kind == KIND_NOT:
+            programs.append((kind, local[ARENA.child_ids[ARENA.child_off[fid]]], None))
+        elif kind == KIND_AND or kind == KIND_OR:
+            programs.append((kind, tuple(local[c] for c in ARENA.children(fid)), None))
+        elif kind == KIND_ALWAYS or kind == KIND_EVENTUALLY:
+            operand = ARENA.child_ids[ARENA.child_off[fid]]
+            programs.append(
+                (kind, operand_local[operand], (operand, ARENA.iv_lo[fid], ARENA.iv_hi[fid]))
+            )
+        else:  # KIND_UNTIL
+            off = ARENA.child_off[fid]
+            left = ARENA.child_ids[off]
+            right = ARENA.child_ids[off + 1]
+            programs.append(
+                (
+                    kind,
+                    (operand_local[left], operand_local[right]),
+                    (left, right, ARENA.iv_lo[fid], ARENA.iv_hi[fid]),
+                )
+            )
+    return programs
+
+
+def _shift_rows(universe: list[int]) -> list[tuple]:
+    """A top-level closure as ``(kind, id, kids, iv_lo, iv_hi)`` rows for
+    :func:`_shifted`: ``kids`` are positions in ``universe`` for boolean
+    rows and operand *ids* (which a shift never touches) for temporal
+    ones."""
+    local = {fid: k for k, fid in enumerate(universe)}
+    rows = []
+    for fid in universe:
+        kind = ARENA.kinds[fid]
+        kids = tuple(ARENA.children(fid))
+        if kind in _BOOLEAN_KINDS:
+            kids = tuple(local[c] for c in kids)
+        rows.append((kind, fid, kids, ARENA.iv_lo[fid], ARENA.iv_hi[fid]))
+    return rows
+
+
+def _shifted(rows: list[tuple], d: int) -> list[int]:
+    """Every row of a top-level closure re-anchored forward by ``d``, in
+    one ascending pass (children come before their parents).
+
+    The id-level mirror of
+    :func:`~repro.progression.progressor.anchor_shift`: outermost
+    temporal windows shift down by ``d`` (clamped — an elapsed F/U window
+    folds to false, an elapsed G window to true), nested windows are
+    untouched.
+    """
+    if d < 0:
+        raise MonitorError(f"cannot anchor-shift backwards (d={d})")
+    out: list[int] = []
+    for kind, fid, kids, lo, hi in rows:
+        if kind == KIND_NOT:
+            shifted = id_lnot(out[kids[0]])
+        elif kind == KIND_AND:
+            shifted = id_land([out[k] for k in kids])
+        elif kind == KIND_OR:
+            shifted = id_lor([out[k] for k in kids])
+        elif kind == KIND_TRUE or kind == KIND_FALSE:
+            shifted = fid
+        elif kind == KIND_ATOM or kind == KIND_PRED:
+            # atom / predicate rows never survive progression
+            raise MonitorError(
+                f"residual formula contains a bare atom {formula_of(fid)!s}; "
+                "atoms are always resolved during progression"
+            )
+        else:
+            lo = lo - d if lo > d else 0
+            if hi != IV_INF:
+                hi = hi - d if hi > d else 0
+            if kind == KIND_ALWAYS:
+                shifted = id_always(kids[0], lo, hi)
+            elif kind == KIND_EVENTUALLY:
+                shifted = id_eventually(kids[0], lo, hi)
+            else:
+                shifted = id_until(kids[0], kids[1], lo, hi)
+        out.append(shifted)
+    return out
+
+
+def _fill_rows(programs, first: int, count: int, res: list[int], trace, boundary: int):
+    """Compute rows ``first .. first + len(programs)`` of the flat memo
+    ``res[row * n + position]`` at positions ``range(count)``.
+
+    Rows are filled in program order (ascending id = children first); a
+    row reads its children at its own position and, for temporal kinds,
+    its operands at every later position — which the caller has filled.
+    """
+    times = trace.times
+    states = trace.states
+    n = len(times)
+    positions = range(count)
+    windows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    props_by_pos: list[frozenset[str]] | None = None
+    valuation_by_pos = None
+
+    def window(lo_bound: int, hi_bound: int) -> tuple[list[int], list[int]]:
+        """Per-position ``[wlo, whi)`` position ranges for one interval.
+
+        Offsets ``tau_j - tau_i in [lo, hi)`` form a contiguous block
+        because timestamps are non-decreasing; one bisect pair per
+        position, shared by every node carrying this interval.
+        """
+        cached = windows.get((lo_bound, hi_bound))
+        if cached is not None:
+            return cached
+        wlo = [0] * count
+        whi = [0] * count
+        for i in positions:
+            base_time = times[i]
+            low = bisect_left(times, base_time + lo_bound, i)
+            wlo[i] = low
+            whi[i] = (
+                n
+                if hi_bound == IV_INF
+                else bisect_left(times, base_time + hi_bound, low)
+            )
+        windows[(lo_bound, hi_bound)] = (wlo, whi)
+        return wlo, whi
+
+    for idx, (kind, payload, extra) in enumerate(programs, first):
+        base = idx * n
+        if kind == KIND_ATOM:
+            if props_by_pos is None:
+                props_by_pos = [states[i].props for i in positions]
+            for i in positions:
+                res[base + i] = TRUE_ID if payload in props_by_pos[i] else FALSE_ID
+        elif kind == KIND_NOT:
+            cbase = payload * n
+            for i in positions:
+                res[base + i] = id_lnot(res[cbase + i])
+        elif kind == KIND_AND:
+            cbases = [c * n for c in payload]
+            for i in positions:
+                res[base + i] = id_land([res[cb + i] for cb in cbases])
+        elif kind == KIND_OR:
+            cbases = [c * n for c in payload]
+            for i in positions:
+                res[base + i] = id_lor([res[cb + i] for cb in cbases])
+        elif kind == KIND_ALWAYS or kind == KIND_EVENTUALLY:
+            cbase = payload * n
+            operand, iv_lo, iv_hi = extra
+            wlo, whi = window(iv_lo, iv_hi)
+            for i in positions:
+                parts = res[cbase + wlo[i] : cbase + whi[i]]
+                remaining = boundary - times[i]
+                if iv_hi == IV_INF or iv_hi > remaining:
+                    s_lo = iv_lo - remaining
+                    if s_lo < 0:
+                        s_lo = 0
+                    s_hi = IV_INF if iv_hi == IV_INF else iv_hi - remaining
+                    if kind == KIND_ALWAYS:
+                        parts.append(id_always(operand, s_lo, s_hi))
+                    else:
+                        parts.append(id_eventually(operand, s_lo, s_hi))
+                res[base + i] = (
+                    id_land(parts) if kind == KIND_ALWAYS else id_lor(parts)
+                )
+        elif kind == KIND_UNTIL:
+            lpos, rpos = payload
+            lbase = lpos * n
+            rbase = rpos * n
+            left, right, iv_lo, iv_hi = extra
+            wlo, whi = window(iv_lo, iv_hi)
+            for i in positions:
+                remaining = boundary - times[i]
+                tail_due = iv_hi == IV_INF or iv_hi > remaining
+                disjuncts: list[int] = []
+                left_so_far: list[int] = []
+                lo_w = wlo[i]
+                hi_w = whi[i]
+                # Past the window only the tail residual still reads
+                # the left operands, and one false left operand folds
+                # every later disjunct (the tail included) to false,
+                # which id_lor would drop: stop there.
+                for j in range(i, n if tail_due else hi_w):
+                    if lo_w <= j < hi_w:
+                        left_so_far.append(res[rbase + j])
+                        disjuncts.append(id_land(left_so_far))
+                        left_so_far.pop()
+                    held = res[lbase + j]
+                    if held == FALSE_ID:
+                        break
+                    left_so_far.append(held)
+                else:
+                    if tail_due:
+                        s_lo = iv_lo - remaining
+                        if s_lo < 0:
+                            s_lo = 0
+                        s_hi = IV_INF if iv_hi == IV_INF else iv_hi - remaining
+                        left_so_far.append(id_until(left, right, s_lo, s_hi))
+                        disjuncts.append(id_land(left_so_far))
+                res[base + i] = id_lor(disjuncts)
+        elif kind == KIND_PRED:
+            if valuation_by_pos is None:
+                valuation_by_pos = [states[i].valuation for i in positions]
+            for i in positions:
+                res[base + i] = TRUE_ID if payload(valuation_by_pos[i]) else FALSE_ID
+        else:  # constants: payload is the id itself
+            res[base : base + count] = [payload] * count
+
+
 class ColumnarSegmentProgressor:
     """Batch-progress one carried residual column over segment traces.
 
     Built once per segment from the merged ``(root id, count)`` pairs;
-    reused for every trace the segment enumerates.  Anchor-shift results
-    and compiled plans are memoized per distinct shift ``d`` (traces of
-    a segment share a handful of start times).
+    reused for every trace the segment enumerates.  The plan has two
+    parts, because the verdict reads only position 0 of a root:
 
-    Kernel rows are shared across the traces as well.  ``res[node, i]``
+    * the **body** — every node under at least one temporal operator.
+      An anchor shift moves outermost windows only, so the body is the
+      same under every shift: compiled once per kernel, computed at every
+      position (temporal rows read their operands at later positions);
+    * a **head** per distinct anchor shift ``d`` — the roots re-anchored
+      by ``d`` and their ``NOT/AND/OR`` top level down to the first
+      temporal node, computed at position 0 only, ending in a *grouped
+      root table*: one ``(row, summed count)`` entry per distinct shifted
+      root (many carried roots differ only in a window the shift has
+      already elapsed).
+
+    Body rows are shared across the traces as well.  ``res[node, i]``
     reads the trace only from position ``i`` on — the suffix's states,
     its timestamps, and the boundary — so two traces that end in the
-    same suffix have the same rows there.  Suffixes are hash-consed back
-    to front into small ints, and the column of result ids of every
-    suffix a pass computed is kept for the kernel's lifetime; a later
-    trace computes only the positions before its longest known suffix.
-    A state is keyed by identity (the enumerator hands every trace
-    through one cut the same :class:`~repro.mtl.trace.State`) and pinned
-    by the table, so a key can never outlive the object it names.
+    same suffix have the same rows there, whatever their shifts.
+    Suffixes are hash-consed back to front into small ints, and the body
+    column of every suffix a pass computed is kept for the kernel's
+    lifetime; a later trace computes only the positions before its
+    longest known suffix.  Head rows are never kept: they belong to a
+    whole trace under one shift, not to a suffix.  A state is keyed by
+    identity (the enumerator hands every trace through one cut the same
+    :class:`~repro.mtl.trace.State`) and pinned by the table, so a key
+    can never outlive the object it names.
     """
 
     __slots__ = (
         "_pairs",
         "_roots_key",
-        "_shift_memo",
-        "_plans",
+        "_body",
+        "_heads",
         "_suffix_ids",
         "_pinned_states",
         "_columns",
         "_cached_cells",
         "_columns_reused",
         "_columns_computed",
+        "_head_rows_computed",
+        "_roots_scattered",
     )
 
     def __init__(self, pairs: list[tuple[int, int]]) -> None:
         self._pairs = pairs
         self._roots_key = tuple(fid for fid, _ in pairs)
-        self._shift_memo: dict[tuple[int, int], int] = {}
-        #: shift -> (programs, root plan positions) — a per-instance view
-        #: of the process-wide :data:`_PLAN_CACHE` (no lock per trace).
-        self._plans: dict[int, tuple[list[tuple], list[int]]] = {}
+        #: (body programs, id -> body row, shift rows of the top level,
+        #: each root's shift row), compiled on first use.
+        self._body: tuple | None = None
+        #: shift -> (head programs, each root's row, grouped root table).
+        #: Both are per-instance views of the process-wide
+        #: :data:`_PLAN_CACHE` (no lock per trace).
+        self._heads: dict[int, tuple[list[tuple], list[int], list[tuple[int, int]]]] = {}
         #: (id(state), time, what follows) -> suffix id, where what follows
         #: is the next suffix's id or, after the last position, the
-        #: (shift, boundary) pair — so an id names plan and boundary too.
+        #: (boundary,) the rows are computed under.
         self._suffix_ids: dict[tuple, int] = {}
-        #: suffix id -> its column: one result id per plan node.
+        #: suffix id -> its column: one result id per body node.
         self._columns: list[tuple[int, ...]] = []
         #: The first state of every stored suffix, kept alive so that its
         #: ``id()`` stays its own for as long as a key holds it.
@@ -191,16 +453,29 @@ class ColumnarSegmentProgressor:
         self._cached_cells = 0
         self._columns_reused = 0
         self._columns_computed = 0
+        self._head_rows_computed = 0
+        self._roots_scattered = 0
 
     @property
     def columns_reused(self) -> int:
-        """(trace, position) columns served from an earlier trace's pass."""
+        """(trace, position) body columns served from an earlier pass."""
         return self._columns_reused
 
     @property
     def columns_computed(self) -> int:
-        """(trace, position) columns the node loops had to compute."""
+        """(trace, position) body columns the node loops had to compute."""
         return self._columns_computed
+
+    @property
+    def head_rows_computed(self) -> int:
+        """Head rows computed: each trace's head once, at position 0."""
+        return self._head_rows_computed
+
+    @property
+    def roots_scattered(self) -> int:
+        """Grouped-root-table entries read: one per (trace, distinct
+        shifted root), however many carried roots share it."""
+        return self._roots_scattered
 
     @property
     def cached_cells(self) -> int:
@@ -210,280 +485,92 @@ class ColumnarSegmentProgressor:
     # -- anchor shift (id level) ------------------------------------------------
 
     def shift_root(self, fid: int, d: int) -> int:
-        """Re-anchor residual ``fid`` forward by ``d`` time units.
-
-        The id-level mirror of
-        :func:`~repro.progression.progressor.anchor_shift`: outermost
-        temporal windows shift down by ``d`` (clamped — an elapsed F/U
-        window folds to false, an elapsed G window to true), nested
-        windows are untouched.
-        """
-        if d < 0:
-            raise MonitorError(f"cannot anchor-shift backwards (d={d})")
+        """Re-anchor residual ``fid`` forward by ``d`` time units (see
+        :func:`_shifted`; the kernel shifts all its roots in one pass)."""
         if d == 0:
             return fid
-        return self._shift(fid, d)
-
-    def _shift(self, fid: int, d: int) -> int:
-        key = (fid, d)
-        result = self._shift_memo.get(key)
-        if result is not None:
-            return result
-        kind = ARENA.kinds[fid]
-        if kind == KIND_TRUE or kind == KIND_FALSE:
-            result = fid
-        elif kind == KIND_NOT:
-            result = id_lnot(self._shift(ARENA.child_ids[ARENA.child_off[fid]], d))
-        elif kind == KIND_AND:
-            result = id_land([self._shift(c, d) for c in ARENA.children(fid)])
-        elif kind == KIND_OR:
-            result = id_lor([self._shift(c, d) for c in ARENA.children(fid)])
-        elif kind == KIND_ALWAYS or kind == KIND_EVENTUALLY or kind == KIND_UNTIL:
-            lo = ARENA.iv_lo[fid] - d
-            if lo < 0:
-                lo = 0
-            hi = ARENA.iv_hi[fid]
-            if hi != IV_INF:
-                hi -= d
-                if hi < 0:
-                    hi = 0
-            off = ARENA.child_off[fid]
-            if kind == KIND_ALWAYS:
-                result = id_always(ARENA.child_ids[off], lo, hi)
-            elif kind == KIND_EVENTUALLY:
-                result = id_eventually(ARENA.child_ids[off], lo, hi)
-            else:
-                result = id_until(
-                    ARENA.child_ids[off], ARENA.child_ids[off + 1], lo, hi
-                )
-        else:  # atom / predicate rows never survive progression
-            raise MonitorError(
-                f"residual formula contains a bare atom {formula_of(fid)!s}; "
-                "atoms are always resolved during progression"
-            )
-        self._shift_memo[key] = result
-        return result
+        # A root is the largest id of its own closure: the last row.
+        return _shifted(_shift_rows(_reachable([fid], top_level=True)), d)[-1]
 
     # -- plan compilation -------------------------------------------------------
 
-    def _compile(self, shift: int) -> tuple[list[tuple], list[int]]:
-        """Compile the per-shift plan: shifted roots, their reachable
-        closure in ascending-id (= topological) order, and one program
-        tuple per node with child positions pre-resolved.
+    def _compile_body(self):
+        """The shift-independent part: the body programs, and the roots'
+        top level laid out for :func:`_shifted`."""
+        top = _reachable(self._roots_key, top_level=True)
+        body = _reachable(
+            c for fid in top if ARENA.kinds[fid] in TEMPORAL_KINDS for c in ARENA.children(fid)
+        )
+        local = {fid: row for row, fid in enumerate(body)}
+        return (
+            _programs(body, local, local),
+            local,
+            _shift_rows(top),
+            [bisect_left(top, fid) for fid in self._roots_key],
+        )
 
-        Program layout: ``(kind, payload, extra)`` where ``payload`` is
-        the atom name / predicate / child plan position(s) and ``extra``
-        carries ``(operand id(s), iv_lo, iv_hi)`` for temporal kinds
-        (the *unprogressed* operand ids feed residual construction).
-        """
-        roots = [self.shift_root(fid, shift) for fid, _ in self._pairs]
-        reachable: set[int] = set()
-        stack = list(roots)
-        while stack:
-            fid = stack.pop()
-            if fid in reachable:
-                continue
-            reachable.add(fid)
-            stack.extend(ARENA.children(fid))
-        universe = sorted(reachable)
-        local = {fid: idx for idx, fid in enumerate(universe)}
-        programs: list[tuple] = []
-        for fid in universe:
-            kind = ARENA.kinds[fid]
-            if kind == KIND_TRUE or kind == KIND_FALSE:
-                programs.append((kind, fid, None))
-            elif kind == KIND_ATOM:
-                programs.append((kind, ARENA.names[fid], None))
-            elif kind == KIND_PRED:
-                programs.append((kind, formula_of(fid).predicate, None))
-            elif kind == KIND_NOT:
-                programs.append(
-                    (kind, local[ARENA.child_ids[ARENA.child_off[fid]]], None)
-                )
-            elif kind == KIND_AND or kind == KIND_OR:
-                programs.append(
-                    (kind, tuple(local[c] for c in ARENA.children(fid)), None)
-                )
-            elif kind == KIND_ALWAYS or kind == KIND_EVENTUALLY:
-                operand = ARENA.child_ids[ARENA.child_off[fid]]
-                programs.append(
-                    (kind, local[operand], (operand, ARENA.iv_lo[fid], ARENA.iv_hi[fid]))
-                )
-            else:  # KIND_UNTIL
-                off = ARENA.child_off[fid]
-                left = ARENA.child_ids[off]
-                right = ARENA.child_ids[off + 1]
-                programs.append(
-                    (
-                        kind,
-                        (local[left], local[right]),
-                        (left, right, ARENA.iv_lo[fid], ARENA.iv_hi[fid]),
-                    )
-                )
-        return programs, [local[r] for r in roots]
+    def _compile_head(self, shift: int) -> tuple[list[tuple], list[int]]:
+        """The head under ``shift``: the shifted roots' top level in
+        ascending-id (= topological) order, rows numbered after the
+        body's, and the row of every root."""
+        body_programs, body_local, shift_rows, root_rows = self._body
+        if shift == 0:
+            roots = self._roots_key
+        else:
+            shifted = _shifted(shift_rows, shift)
+            roots = [shifted[k] for k in root_rows]
+        head = _reachable(roots, top_level=True)
+        local = {fid: row for row, fid in enumerate(head, len(body_programs))}
+        return _programs(head, local, body_local), [local[fid] for fid in roots]
+
+    def _head(self, shift: int):
+        if self._body is None:
+            self._body = _shared_plan((self._roots_key, None), self._compile_body)
+        programs, root_rows = _shared_plan(
+            (self._roots_key, shift), lambda: self._compile_head(shift)
+        )
+        grouped: dict[int, int] = {}
+        for row, (_, count) in zip(root_rows, self._pairs):
+            grouped[row] = grouped.get(row, 0) + count
+        head = self._heads[shift] = (programs, root_rows, list(grouped.items()))
+        return head
 
     # -- the batch pass ---------------------------------------------------------
 
-    def progress_trace(
-        self, trace: TimedTrace, shift: int, boundary: int, budget=None
-    ) -> list[tuple[int, int]]:
-        """Progress every carried residual over ``trace`` in one pass.
-
-        Returns ``(residual id, count)`` pairs aligned with the carried
-        column (one entry per root, counts passed through).  ``budget``
-        (a :class:`~repro.progression.budget.Budget`) is stepped once per
-        program row so a cancel lands within one checkpoint interval.
-
-        Positions whose suffix (states, times, under this ``shift`` and
-        ``boundary``) an earlier trace already went through are served
-        from the kernel's suffix cache; the result is the same either
-        way.  The cache is written only after the pass completes.
-        """
-        plan = self._plans.get(shift)
-        if plan is None:
-            plan = _shared_plan(self._roots_key, shift, self._compile)
-            self._plans[shift] = plan
-        programs, root_positions = plan
+    def _pass(self, trace: TimedTrace, shift: int, boundary: int, budget):
+        """Fill the flat memo for ``trace``; returns ``(res, n, head)``."""
+        head = self._heads.get(shift) or self._head(shift)
+        body_programs = self._body[0]
+        width = len(body_programs)
         if budget is not None:
-            budget.step(len(programs))
+            budget.step(width + len(head[0]))
         times = trace.times
         states = trace.states
         n = len(times)
-        width = len(programs)
-        res = [0] * (width * n)
+        body_cells = width * n
+        res = [0] * (body_cells + len(head[0]) * n)
 
         # Walk the suffixes back to front for as long as an earlier pass
         # left their columns behind, prefilling those positions; what is
         # left to compute is a prefix, range(fresh).  ``link`` names the
         # suffix that follows position i: after the last position, the
-        # (shift, boundary) the rows are computed under.
+        # boundary the rows are computed under.
         suffix_ids = self._suffix_ids
         columns = self._columns
-        link: tuple[int, int] | int = (shift, boundary)
+        link: tuple[int] | int = (boundary,)
         fresh = n
         for i in range(n - 1, -1, -1):
             sid = suffix_ids.get((id(states[i]), times[i], link))
             if sid is None:
                 break
-            res[i::n] = columns[sid]
+            res[i:body_cells:n] = columns[sid]
             link = sid
             fresh = i
         self._columns_reused += n - fresh
         self._columns_computed += fresh
+        _fill_rows(body_programs, 0, fresh, res, trace, boundary)
 
-        positions = range(fresh)
-        windows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        props_by_pos: list[frozenset[str]] | None = None
-        valuation_by_pos = None
-
-        def window(lo_bound: int, hi_bound: int) -> tuple[list[int], list[int]]:
-            """Per-position ``[wlo, whi)`` position ranges for one interval.
-
-            Offsets ``tau_j - tau_i in [lo, hi)`` form a contiguous block
-            because timestamps are non-decreasing; one bisect pair per
-            position, shared by every node carrying this interval.
-            """
-            cached = windows.get((lo_bound, hi_bound))
-            if cached is not None:
-                return cached
-            wlo = [0] * fresh
-            whi = [0] * fresh
-            for i in positions:
-                base_time = times[i]
-                low = bisect_left(times, base_time + lo_bound, i)
-                wlo[i] = low
-                whi[i] = (
-                    n
-                    if hi_bound == IV_INF
-                    else bisect_left(times, base_time + hi_bound, low)
-                )
-            windows[(lo_bound, hi_bound)] = (wlo, whi)
-            return wlo, whi
-
-        for idx, (kind, payload, extra) in enumerate(programs):
-            base = idx * n
-            if kind == KIND_ATOM:
-                if props_by_pos is None:
-                    props_by_pos = [states[i].props for i in positions]
-                for i in positions:
-                    res[base + i] = TRUE_ID if payload in props_by_pos[i] else FALSE_ID
-            elif kind == KIND_NOT:
-                cbase = payload * n
-                for i in positions:
-                    res[base + i] = id_lnot(res[cbase + i])
-            elif kind == KIND_AND:
-                cbases = [c * n for c in payload]
-                for i in positions:
-                    res[base + i] = id_land([res[cb + i] for cb in cbases])
-            elif kind == KIND_OR:
-                cbases = [c * n for c in payload]
-                for i in positions:
-                    res[base + i] = id_lor([res[cb + i] for cb in cbases])
-            elif kind == KIND_ALWAYS or kind == KIND_EVENTUALLY:
-                cbase = payload * n
-                operand, iv_lo, iv_hi = extra
-                wlo, whi = window(iv_lo, iv_hi)
-                for i in positions:
-                    parts = res[cbase + wlo[i] : cbase + whi[i]]
-                    remaining = boundary - times[i]
-                    if iv_hi == IV_INF or iv_hi > remaining:
-                        s_lo = iv_lo - remaining
-                        if s_lo < 0:
-                            s_lo = 0
-                        s_hi = IV_INF if iv_hi == IV_INF else iv_hi - remaining
-                        if kind == KIND_ALWAYS:
-                            parts.append(id_always(operand, s_lo, s_hi))
-                        else:
-                            parts.append(id_eventually(operand, s_lo, s_hi))
-                    res[base + i] = (
-                        id_land(parts) if kind == KIND_ALWAYS else id_lor(parts)
-                    )
-            elif kind == KIND_UNTIL:
-                lpos, rpos = payload
-                lbase = lpos * n
-                rbase = rpos * n
-                left, right, iv_lo, iv_hi = extra
-                wlo, whi = window(iv_lo, iv_hi)
-                for i in positions:
-                    remaining = boundary - times[i]
-                    tail_due = iv_hi == IV_INF or iv_hi > remaining
-                    disjuncts: list[int] = []
-                    left_so_far: list[int] = []
-                    lo_w = wlo[i]
-                    hi_w = whi[i]
-                    # Past the window only the tail residual still reads
-                    # the left operands, and one false left operand folds
-                    # every later disjunct (the tail included) to false,
-                    # which id_lor would drop: stop there.
-                    for j in range(i, n if tail_due else hi_w):
-                        if lo_w <= j < hi_w:
-                            left_so_far.append(res[rbase + j])
-                            disjuncts.append(id_land(left_so_far))
-                            left_so_far.pop()
-                        held = res[lbase + j]
-                        if held == FALSE_ID:
-                            break
-                        left_so_far.append(held)
-                    else:
-                        if tail_due:
-                            s_lo = iv_lo - remaining
-                            if s_lo < 0:
-                                s_lo = 0
-                            s_hi = IV_INF if iv_hi == IV_INF else iv_hi - remaining
-                            left_so_far.append(id_until(left, right, s_lo, s_hi))
-                            disjuncts.append(id_land(left_so_far))
-                    res[base + i] = id_lor(disjuncts)
-            elif kind == KIND_PRED:
-                if valuation_by_pos is None:
-                    valuation_by_pos = [states[i].valuation for i in positions]
-                for i in positions:
-                    res[base + i] = (
-                        TRUE_ID if payload(valuation_by_pos[i]) else FALSE_ID
-                    )
-            else:  # constants: payload is the id itself
-                res[base : base + fresh] = [payload] * fresh
-
-        # The pass is complete: keep its columns, latest position first
+        # The body is complete: keep its columns, latest position first
         # (so a known suffix always has its own suffixes known), until the
         # cell budget is spent — after that nothing more is kept; results
         # are the same, later traces just compute more.
@@ -495,13 +582,43 @@ class ColumnarSegmentProgressor:
             sid = len(columns)
             suffix_ids[(id(state), times[i], link)] = sid
             link = sid
-            columns.append(tuple(res[i::n]))
+            columns.append(tuple(res[i:body_cells:n]))
             self._pinned_states.append(state)
             self._cached_cells += cost
-        return [
-            (res[pos * n], count)
-            for pos, (_, count) in zip(root_positions, self._pairs)
-        ]
+
+        _fill_rows(head[0], width, 1, res, trace, boundary)
+        self._head_rows_computed += len(head[0])
+        return res, n, head
+
+    def progress_trace(
+        self, trace: TimedTrace, shift: int, boundary: int, budget=None
+    ) -> list[tuple[int, int]]:
+        """Progress every carried residual over ``trace`` in one pass.
+
+        Returns the merged ``(residual id, summed count)`` pairs, one per
+        distinct result — what the trace adds to the segment's outcome.
+        ``budget`` (a :class:`~repro.progression.budget.Budget`) is
+        stepped once per program row so a cancel lands within one
+        checkpoint interval.
+
+        Positions whose suffix (states, times, under this ``boundary``)
+        an earlier trace already went through are served from the
+        kernel's suffix cache; the result is the same either way.  The
+        cache is written only after the body pass completes.
+        """
+        res, n, (_, _, grouped) = self._pass(trace, shift, boundary, budget)
+        self._roots_scattered += len(grouped)
+        merged: dict[int, int] = {}
+        for row, count in grouped:
+            fid = res[row * n]
+            merged[fid] = merged.get(fid, 0) + count
+        return list(merged.items())
+
+    def progress_roots(self, trace: TimedTrace, shift: int, boundary: int) -> list[int]:
+        """The result id of every carried root, aligned with the column
+        (tests; the production loop reads the grouped table instead)."""
+        res, n, (_, root_rows, _) = self._pass(trace, shift, boundary, None)
+        return [res[row * n] for row in root_rows]
 
 
 # -- carried-column wire form -------------------------------------------------------
@@ -526,21 +643,12 @@ def pack_carried_column(pairs: list[tuple[int, int]]):
     object-free fast shape, or ``("objects", [(Formula, count), ...])``
     when the closure contains a predicate atom (pickle fallback).
     """
-    roots = [fid for fid, _ in pairs]
-    reachable: set[int] = set()
-    stack = list(roots)
-    while stack:
-        fid = stack.pop()
-        if fid in reachable:
-            continue
-        reachable.add(fid)
-        stack.extend(ARENA.children(fid))
-    if any(ARENA.kinds[fid] == KIND_PRED for fid in reachable):
+    universe = _reachable(fid for fid, _ in pairs)
+    if any(ARENA.kinds[fid] == KIND_PRED for fid in universe):
         return (
             _COLUMN_OBJECTS,
             [(formula_of(fid), count) for fid, count in pairs],
         )
-    universe = sorted(reachable)
     local = {fid: idx for idx, fid in enumerate(universe)}
     rows = tuple(
         (

@@ -20,6 +20,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.distributed.computation import DistributedComputation
 from repro.distributed.event import Event
+from repro.encoding.verdict_enumerator import carried_column
 from repro.monitor.factory import make_monitor
 from repro.monitor.smt_monitor import PipelineState, SmtMonitor
 from repro.monitor.verdicts import MonitorResult
@@ -169,7 +170,7 @@ def run_segment_shard(
     """
     engine = SmtMonitor(task.formula, cache_traces=True, **task.kwargs)
     state = PipelineState(
-        carried=dict(task.carried),
+        column=carried_column(task.carried),
         anchor=task.anchor,
         base_valuation=dict(task.base_valuation),
         frontier=dict(task.frontier),

@@ -9,12 +9,16 @@ equal), because both paths intern into the same arena.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.distributed.computation import DistributedComputation
+from repro.encoding.enumerator import enumerate_traces
 from repro.errors import MonitorError
 from repro.mtl import ast
+from repro.mtl.interval import Interval
 from repro.mtl.ast import formula_of, intern_formula
 from repro.mtl.trace import State, TimedTrace
 from repro.progression.columnar import ColumnarSegmentProgressor
@@ -88,8 +92,8 @@ def test_until_over_long_left_runs_matches_object_progression(
     ]
     boundary = trace.end_time + pad
     pairs = [(intern_formula(shape)._intern_id, 1) for shape in shapes]
-    column = ColumnarSegmentProgressor(pairs).progress_trace(trace, 0, boundary)
-    for shape, (rid, _) in zip(shapes, column):
+    column = ColumnarSegmentProgressor(pairs).progress_roots(trace, 0, boundary)
+    for shape, rid in zip(shapes, column):
         assert formula_of(rid) is progress(trace, intern_formula(shape), boundary)
 
 
@@ -142,16 +146,17 @@ def test_close_id_matches_structural_close(formula, trace, pad):
 )
 @settings(max_examples=60, **_SETTINGS)
 def test_multiple_roots_share_one_pass(left, right, trace, pad):
-    """A two-root column progresses both, aligned, with counts intact —
-    including when the roots collapse to the same residual."""
+    """A two-root column progresses both, aligned, and the merged pairs
+    keep the counts — summed when the roots collapse to one residual."""
     a = intern_formula(left)
     b = intern_formula(right)
     boundary = trace.end_time + pad
     kernel = ColumnarSegmentProgressor([(a._intern_id, 3), (b._intern_id, 5)])
-    (ra, ca), (rb, cb) = kernel.progress_trace(trace, 0, boundary)
-    assert (ca, cb) == (3, 5)
+    ra, rb = kernel.progress_roots(trace, 0, boundary)
     assert formula_of(ra) is progress(trace, a, boundary)
     assert formula_of(rb) is progress(trace, b, boundary)
+    merged = kernel.progress_trace(trace, 0, boundary)
+    assert merged == ([(ra, 8)] if ra == rb else [(ra, 3), (rb, 5)])
 
 
 def test_constant_roots_pass_through():
@@ -215,3 +220,126 @@ def test_shift_root_rejects_negative_and_bare_atoms():
         assert "bare atom" in str(exc)
     else:  # pragma: no cover - defensive
         raise AssertionError("bare atoms must be rejected")
+
+
+# -- head / body: grouped roots, position-0 heads, the flat shift -------------------
+
+
+def _window(lo: int, hi: int | None) -> Interval:
+    return Interval.unbounded(lo) if hi is None else Interval.bounded(lo, hi)
+
+
+@given(
+    f=formulas(max_depth=2),
+    g=formulas(max_depth=2),
+    lows=st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True),
+    hi=st.one_of(st.none(), st.integers(5, 12)),
+    d=st.sampled_from([0, 1, 2, 3, 4, 7, 40]),
+    trace=timed_traces(),
+    pad=st.integers(0, 6),
+)
+@settings(max_examples=150, **_SETTINGS)
+def test_grouped_roots_equal_aligned_roots_equal_object_progression(
+    f, g, lows, hi, d, trace, pad
+):
+    """Roots that differ only in a window start collapse once the shift
+    passes it (``lo`` clamps at 0), and past ``hi`` fold to constants:
+    the grouped table then scatters fewer entries than there are roots,
+    and the merged pairs must still be the per-root results summed —
+    which in turn are ``anchor_shift`` + the object walk, root for root."""
+    roots: dict[ast.Formula, None] = {}
+    for lo in lows:
+        iv = _window(lo, hi)
+        eventually, always = ast.eventually(f, iv), ast.always(g, iv)
+        until = ast.until(f, g, iv)
+        for root in (
+            eventually,
+            always,
+            until,
+            ast.land(eventually, ast.lnot(until)),
+            ast.lor(always, ast.land(until, ast.eventually(g, _window(0, 5)))),
+        ):
+            roots[root] = None
+    pairs = [(intern_formula(root)._intern_id, k + 1) for k, root in enumerate(roots)]
+    boundary = trace.end_time + pad
+
+    kernel = ColumnarSegmentProgressor(pairs)
+    aligned = kernel.progress_roots(trace, d, boundary)
+    assert aligned == [
+        progress(trace, anchor_shift(root, d), boundary)._intern_id for root in roots
+    ]
+    summed: Counter = Counter()
+    for rid, (_, count) in zip(aligned, pairs):
+        summed[rid] += count
+    merged = kernel.progress_trace(trace, d, boundary)
+    assert len(merged) == len(summed) and dict(merged) == summed
+    assert kernel.roots_scattered == len({kernel.shift_root(fid, d) for fid, _ in pairs})
+
+
+def _guarded(max_leaves: int = 5) -> st.SearchStrategy[ast.Formula]:
+    """Residual-shaped formulas: every atom under a temporal operator,
+    temporal operators nested under each other and under NOT/AND/OR."""
+    temporal = st.one_of(
+        st.builds(ast.eventually, formulas(max_depth=2), intervals()),
+        st.builds(ast.always, formulas(max_depth=2), intervals()),
+        st.builds(ast.until, formulas(max_depth=1), formulas(max_depth=2), intervals()),
+    )
+    return st.recursive(
+        temporal,
+        lambda inner: st.one_of(
+            st.builds(ast.lnot, inner),
+            st.builds(ast.land, inner, inner),
+            st.builds(ast.lor, inner, inner),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@given(formula=_guarded(), d=st.one_of(st.integers(0, 12), st.just(60)))
+@settings(max_examples=200, **_SETTINGS)
+def test_flat_shift_matches_anchor_shift_on_nested_formulas(formula, d):
+    """One ascending pass over the top-level closure re-anchors like the
+    recursive object-level shift: outermost windows move (clamped, folded
+    when elapsed — d = 60 is past every window), nested ones do not."""
+    fid = intern_formula(formula)._intern_id
+    shifted = ColumnarSegmentProgressor([]).shift_root(fid, d)
+    assert formula_of(shifted) is anchor_shift(intern_formula(formula), d)
+
+
+def test_a_trace_scatters_once_per_distinct_shifted_root_and_computes_its_head_once():
+    """An un-truncated segment, six carried roots of which a shift >= 3
+    leaves two distinct: every trace reads two grouped entries, not six,
+    and computes its head rows once — not once per position."""
+    computation = DistributedComputation.from_event_lists(
+        2, {"P1": [(11, "a"), (13, ()), (15, "b")], "P2": [(12, "b"), (14, "a")]}
+    )
+    traces = list(enumerate_traces(computation.happened_before(), 2))
+    assert all(len(trace) == 5 for trace in traces)
+    anchor = min(trace.start_time for trace in traces) - 3
+    roots = [
+        ast.eventually(ast.atom("b"), Interval.bounded(lo, 20)) for lo in (0, 1, 2, 3)
+    ] + [ast.always(ast.atom("a"), Interval.bounded(lo, 30)) for lo in (0, 3)]
+    pairs = [(intern_formula(root)._intern_id, k + 1) for k, root in enumerate(roots)]
+
+    kernel = ColumnarSegmentProgressor(pairs)
+    merged: Counter = Counter()
+    distinct = 0
+    for trace in traces:
+        shift = trace.start_time - anchor
+        distinct += len({kernel.shift_root(fid, shift) for fid, _ in pairs})
+        for rid, count in kernel.progress_trace(trace, shift, trace.end_time):
+            merged[rid] += count
+    assert distinct == 2 * len(traces) < len(pairs) * len(traces)
+    assert kernel.roots_scattered == distinct
+    # The roots are bare temporal nodes, so a head is exactly its
+    # distinct shifted roots: one row each, at position 0 only.
+    assert kernel.head_rows_computed == distinct
+    assert kernel.columns_reused + kernel.columns_computed == 5 * len(traces)
+
+    expected: Counter = Counter()
+    for trace in traces:
+        shift = trace.start_time - anchor
+        for root, (_, count) in zip(roots, pairs):
+            walked = progress(trace, anchor_shift(intern_formula(root), shift), trace.end_time)
+            expected[walked._intern_id] += count
+    assert merged == expected

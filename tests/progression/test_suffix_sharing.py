@@ -28,6 +28,7 @@ from repro.encoding.verdict_enumerator import (
 from repro.errors import PreemptedError
 from repro.mtl import ast, parse
 from repro.mtl.ast import formula_of, intern_formula
+from repro.mtl.trace import TimedTrace
 from repro.progression import columnar
 from repro.progression.budget import Budget
 from repro.progression.columnar import ColumnarSegmentProgressor
@@ -61,11 +62,11 @@ def _column(f, g, window, reach) -> list[tuple[int, int]]:
     return [(intern_formula(root)._intern_id, k + 1) for k, root in enumerate(roots)]
 
 
-def _object_walk(pairs, trace, shift, boundary) -> list[tuple[int, int]]:
+def _object_walk(pairs, trace, shift, boundary) -> list[int]:
     walk = TraceProgressor(trace, boundary)
     return [
-        (walk.progress(anchor_shift(formula_of(fid), shift), 0)._intern_id, count)
-        for fid, count in pairs
+        walk.progress(anchor_shift(formula_of(fid), shift), 0)._intern_id
+        for fid, _ in pairs
     ]
 
 
@@ -97,8 +98,8 @@ def test_shared_kernel_equals_kernel_per_trace_equals_object_walk(
         # The same suffix under a later boundary is another row: one
         # kernel serves both without mixing them up.
         for boundary in (max(hi, trace.end_time), trace.end_time + 3):
-            column = shared.progress_trace(trace, shift, boundary)
-            assert column == ColumnarSegmentProgressor(pairs).progress_trace(
+            column = shared.progress_roots(trace, shift, boundary)
+            assert column == ColumnarSegmentProgressor(pairs).progress_roots(
                 trace, shift, boundary
             )
             assert column == _object_walk(pairs, trace, shift, boundary)
@@ -151,6 +152,43 @@ def test_most_columns_of_a_chain_shaped_segment_are_reused():
     assert kernel.columns_reused / total >= 0.5
     # Position 0 of a trace the kernel has not seen is always computed.
     assert kernel.columns_computed >= len(traces)
+
+
+def test_a_cached_suffix_column_is_never_served_as_a_head():
+    """Stored columns hold body rows only, heads are computed per trace:
+    so a trace T, then T's proper suffix (whose position 0 was stored as
+    T's position 1), then T again (every position stored) must each come
+    out as from a fresh kernel — under a shift, with roots that collapse."""
+    traces, _ = _chain_shaped_segment()
+    whole = traces[0]
+    suffix = TimedTrace(whole.states[1:], whole.times[1:])
+    roots = [
+        parse("F[1,9) b"),
+        parse("F[2,9) b"),
+        parse("G[0,30) (a -> F[0,8) b)"),
+        parse("(a U[0,25) b) & !(F[1,9) b)"),
+    ]
+    pairs = [(intern_formula(root)._intern_id, k + 1) for k, root in enumerate(roots)]
+    shift, boundary = 2, whole.end_time
+
+    shared = ColumnarSegmentProgressor(pairs)
+    for step, trace in enumerate((whole, suffix, whole)):
+        fresh = ColumnarSegmentProgressor(pairs)
+        assert shared.progress_trace(trace, shift, boundary) == fresh.progress_trace(
+            trace, shift, boundary
+        )
+        assert shared.progress_roots(trace, shift, boundary) == fresh.progress_roots(
+            trace, shift, boundary
+        )
+        # Only the first pass computes body columns; every pass computes a head.
+        assert shared.columns_computed == len(whole)
+        assert shared.head_rows_computed == (step + 1) * fresh.head_rows_computed
+    # The same trace under another shift shares every body column too.
+    before = shared.columns_reused
+    assert shared.progress_roots(whole, 5, boundary) == ColumnarSegmentProgressor(
+        pairs
+    ).progress_roots(whole, 5, boundary)
+    assert shared.columns_reused == before + len(whole)
 
 
 def test_nothing_is_reused_across_segments():
@@ -239,12 +277,14 @@ def test_cancelled_segment_retries_to_the_uninterrupted_outcome():
 
 
 def test_wide_column_under_the_default_trace_budget_stays_under_the_cap(monkeypatch):
-    """2 000 residuals under the default 20 000-trace budget would be
-    hundreds of millions of cells if every column were kept; the first
-    traces already fill the fixed cap, after which nothing more is
-    stored and the results equal a run whose cap never binds."""
+    """2 000 residuals with as many distinct operands (the cache holds
+    body rows only, so the operands are what make it wide) under the
+    default 20 000-trace budget would be hundreds of millions of cells
+    if every column were kept; the first traces already fill the fixed
+    cap, after which nothing more is stored and the results equal a run
+    whose cap never binds."""
     roots = [
-        parse(f"G[0,{40 + k}) ({'a' if k % 2 else 'b'} -> F[0,{2 + k % 37}) b)")
+        parse(f"G[0,{40 + k}) ({'a' if k % 2 else 'b'} -> F[0,{2 + k}) b)")
         for k in range(2000)
     ]
     pairs = [(intern_formula(root)._intern_id, 1) for root in roots]
