@@ -19,9 +19,10 @@ can act on partial outcomes without waiting for the segment to drain.
 :func:`enumerate_segment_outcomes` is the drain-it-all wrapper.
 
 Hot-path notes: the inner loop is *columnar* — carried residuals live as
-``(arena id, count)`` pairs and every trace is progressed by one batch
-pass of :class:`~repro.progression.columnar.ColumnarSegmentProgressor`
-over the intern arena, touching no Formula objects at all.  Setting
+``(arena id, count)`` pairs, and one segment's traces all go through one
+:class:`~repro.progression.columnar.ColumnarSegmentProgressor` (a batch
+pass per trace, or, for a narrow column, forward steps that share each
+DFS prefix), touching no Formula objects at all.  Setting
 ``REPRO_COLUMNAR=0`` in the environment selects the legacy object path
 (a :class:`~repro.progression.progressor.TraceProgressor` walk per
 trace); the differential suite runs both and asserts bit-identical

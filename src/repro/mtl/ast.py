@@ -391,9 +391,10 @@ def formula_of(fid: int) -> "Formula":
         obj = ref() if ref is not None else None
         if obj is not None:
             return obj
+        # Not entered in the object cache: a constructor that misses it
+        # finds this object by its arena row and heals the entry.
         object.__setattr__(node, "_intern_id", fid)
         ARENA.refs[fid] = weakref.ref(node)
-        _INTERN[(node.__class__, node._key_fields())] = node
     return node
 
 

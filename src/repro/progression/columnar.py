@@ -33,6 +33,13 @@ over the intern arena (:data:`repro.mtl.ast.ARENA`):
   bit-identical residual structures (the differential suite asserts
   this; ``REPRO_COLUMNAR=0`` selects the object path).
 
+That pass runs each trace backwards from its end.  A *narrow* column
+(:func:`_steps_forward`) is instead stepped forward one observation at a
+time — progression composes over concatenation (paper Definition 3) — so
+in the enumerator's DFS order, where consecutive traces share all but
+their last few observations, each distinct trace prefix is progressed
+once.  Both strategies return the same residual ids.
+
 No :class:`~repro.mtl.ast.Formula` objects are touched anywhere in the
 loop; :func:`~repro.mtl.ast.formula_of` materializes results only at
 API boundaries (segment reports, snapshots, shard tasks).
@@ -105,6 +112,14 @@ _PLAN_STATS = {"hits": 0, "misses": 0}
 _MAX_CACHED_CELLS = 1 << 19
 _ENTRY_CELLS = 32
 
+#: Widest carried column that is stepped forward.  Every step pays the
+#: column's width, so a wide column stays on the backward pass, whose
+#: body columns all its roots share (any cut-off in 2..16 measured alike).
+_FORWARD_MAX_ROOTS = 4
+#: States a forward kernel pins with their memos before starting over;
+#: only backends with fresh states per trace (not the DFS) reach it.
+_MAX_PINNED_STATES = 1 << 14
+
 
 def _shared_plan(key: tuple, compile_fn):
     """The plan under ``key`` — ``(root ids, shift)`` for a head,
@@ -163,6 +178,28 @@ def _reachable(roots, top_level: bool = False) -> list[int]:
         if not top_level or kinds[fid] in _BOOLEAN_KINDS:
             stack.extend(ARENA.children(fid))
     return sorted(seen)
+
+
+def _steps_forward(roots) -> bool:
+    """Whether a column of ``roots`` is stepped forward (see the class).
+
+    Narrow columns only, and no ``U`` with a temporal operator in its
+    left operand: stepping nests such an until's progressed left operand
+    over the next step's disjunction, ``l0 & (r1 | l1 & U)``, which the
+    batch pass builds distributed, ``l0 & r1 | l0 & l1 & U`` — equivalent,
+    but not the same residual, and the smart constructors do not
+    distribute.  A temporal-free left operand progresses to a constant,
+    which folds either form to the same one.
+    """
+    if len(roots) > _FORWARD_MAX_ROOTS:
+        return False
+    kinds = ARENA.kinds
+    for fid in _reachable(roots):
+        if kinds[fid] == KIND_UNTIL:
+            left = ARENA.child_ids[ARENA.child_off[fid]]
+            if any(kinds[c] in TEMPORAL_KINDS for c in _reachable([left])):
+                return False
+    return True
 
 
 def _programs(universe: list[int], local: dict[int, int], operand_local: dict[int, int]):
@@ -384,6 +421,64 @@ def _fill_rows(programs, first: int, count: int, res: list[int], trace, boundary
             res[base : base + count] = [payload] * count
 
 
+def _observe(fid: int, d: int, state, memo: dict[int, int], memo0: dict[int, int]) -> int:
+    """Residual ``fid`` re-anchored forward by ``d`` and progressed over
+    the one observation ``state``, with the boundary at that
+    observation's own time.
+
+    This is :func:`_shifted` fused into :func:`_fill_rows` at ``n = 1``,
+    so the re-anchored residual is never interned.  At ``n = 1`` every
+    window is position 0 if it starts at 0 and empty otherwise, and every
+    tail is the re-anchored node itself.  The time drops out, so one
+    ``memo`` (``fid -> result``) per ``(state, d)`` serves every visit;
+    ``memo0`` is the state's ``d = 0`` one, for temporal operands.
+    """
+    rid = memo.get(fid)
+    if rid is not None:
+        return rid
+    kind = ARENA.kinds[fid]
+    if kind == KIND_TRUE or kind == KIND_FALSE:
+        rid = fid
+    elif kind == KIND_ATOM:
+        rid = TRUE_ID if ARENA.names[fid] in state.props else FALSE_ID
+    elif kind == KIND_PRED:
+        rid = TRUE_ID if formula_of(fid).predicate(state.valuation) else FALSE_ID
+    elif kind == KIND_NOT:
+        child = ARENA.child_ids[ARENA.child_off[fid]]
+        rid = id_lnot(_observe(child, d, state, memo, memo0))
+    elif kind == KIND_AND:
+        rid = id_land([_observe(c, d, state, memo, memo0) for c in ARENA.children(fid)])
+    elif kind == KIND_OR:
+        rid = id_lor([_observe(c, d, state, memo, memo0) for c in ARENA.children(fid)])
+    else:
+        lo, hi = ARENA.iv_lo[fid], ARENA.iv_hi[fid]
+        lo = lo - d if lo > d else 0
+        if hi != IV_INF:
+            hi = hi - d if hi > d else 0
+        if hi == 0:  # the window elapsed in the re-anchoring
+            rid = TRUE_ID if kind == KIND_ALWAYS else FALSE_ID
+        elif kind == KIND_UNTIL:
+            off = ARENA.child_off[fid]
+            left = ARENA.child_ids[off]
+            right = ARENA.child_ids[off + 1]
+            disjuncts = [id_land([_observe(right, 0, state, memo0, memo0)])] if lo == 0 else []
+            held = _observe(left, 0, state, memo0, memo0)
+            if held != FALSE_ID:
+                disjuncts.append(id_land([held, id_until(left, right, lo, hi)]))
+            rid = id_lor(disjuncts)
+        else:
+            operand = ARENA.child_ids[ARENA.child_off[fid]]
+            parts = [_observe(operand, 0, state, memo0, memo0)] if lo == 0 else []
+            if kind == KIND_ALWAYS:
+                parts.append(id_always(operand, lo, hi))
+                rid = id_land(parts)
+            else:
+                parts.append(id_eventually(operand, lo, hi))
+                rid = id_lor(parts)
+    memo[fid] = rid
+    return rid
+
+
 class ColumnarSegmentProgressor:
     """Batch-progress one carried residual column over segment traces.
 
@@ -414,6 +509,16 @@ class ColumnarSegmentProgressor:
     identity (the enumerator hands every trace through one cut the same
     :class:`~repro.mtl.trace.State`) and pinned by the table, so a key
     can never outlive the object it names.
+
+    A narrow column (:func:`_steps_forward`) takes the other strategy in
+    :meth:`progress_trace`: it walks the trace *forward*, re-anchoring
+    the column to each observation's time and progressing it over that
+    one observation (:func:`_observe`, memoised per pinned state), and
+    keeps the previous trace's path — one ``(id, count)`` column per
+    depth.  A trace recomputes only the positions after its longest
+    common prefix with that path, which in DFS order is the previous
+    trace's longest shared prefix; the last column is re-anchored to the
+    boundary.  :meth:`progress_roots` always runs the backward pass.
     """
 
     __slots__ = (
@@ -429,11 +534,29 @@ class ColumnarSegmentProgressor:
         "_columns_computed",
         "_head_rows_computed",
         "_roots_scattered",
+        "_forward",
+        "_shifts",
+        "_observed",
+        "_path_shift",
+        "_path",
+        "_steps_computed",
+        "_positions_shared",
     )
 
     def __init__(self, pairs: list[tuple[int, int]]) -> None:
         self._pairs = pairs
         self._roots_key = tuple(fid for fid, _ in pairs)
+        self._forward = _steps_forward(self._roots_key)
+        #: Forward state: (id, d) -> id re-anchored to the boundary by d;
+        #: id(state) -> (state, d -> its :func:`_observe` memo), the state
+        #: pinned beside its memos; the last trace walked, as its shift and
+        #: a (state, time, column after it) step per position.
+        self._shifts: dict[tuple[int, int], int] = {}
+        self._observed: dict[int, tuple] = {}
+        self._path_shift: int | None = None
+        self._path: list[tuple] = []
+        self._steps_computed = 0
+        self._positions_shared = 0
         #: (body programs, id -> body row, shift rows of the top level,
         #: each root's shift row), compiled on first use.
         self._body: tuple | None = None
@@ -481,6 +604,21 @@ class ColumnarSegmentProgressor:
     def cached_cells(self) -> int:
         """Cells charged to the suffix cache (at most the fixed cap)."""
         return self._cached_cells
+
+    @property
+    def steps_forward(self) -> bool:
+        """Whether :meth:`progress_trace` steps this column forward."""
+        return self._forward
+
+    @property
+    def steps_computed(self) -> int:
+        """(trace, position) forward steps computed."""
+        return self._steps_computed
+
+    @property
+    def positions_shared(self) -> int:
+        """(trace, position) forward steps served from the previous path."""
+        return self._positions_shared
 
     # -- anchor shift (id level) ------------------------------------------------
 
@@ -604,8 +742,13 @@ class ColumnarSegmentProgressor:
         Positions whose suffix (states, times, under this ``boundary``)
         an earlier trace already went through are served from the
         kernel's suffix cache; the result is the same either way.  The
-        cache is written only after the body pass completes.
+        cache is written only after the body pass completes.  A forward
+        kernel steps the budget once per computed step, by the column's
+        width, and serves the positions it shares with the previous trace
+        from that trace's path.
         """
+        if self._forward:
+            return self._walk(trace, shift, boundary, budget)
         res, n, (_, _, grouped) = self._pass(trace, shift, boundary, budget)
         self._roots_scattered += len(grouped)
         merged: dict[int, int] = {}
@@ -619,6 +762,60 @@ class ColumnarSegmentProgressor:
         (tests; the production loop reads the grouped table instead)."""
         res, n, (_, root_rows, _) = self._pass(trace, shift, boundary, None)
         return [res[row * n] for row in root_rows]
+
+    # -- the forward walk -------------------------------------------------------
+
+    def _walk(self, trace: TimedTrace, shift: int, boundary: int, budget):
+        """:meth:`progress_trace` for a forward kernel."""
+        states, times = trace.states, trace.times
+        path = self._path
+        if shift != self._path_shift:
+            self._path_shift = shift
+            path.clear()
+        depth = 0
+        limit = min(len(times), len(path))
+        while depth < limit and path[depth][0] is states[depth] and path[depth][1] == times[depth]:
+            depth += 1
+        del path[depth:]
+        self._positions_shared += depth
+        # Before position 0 the column is the carried one, at the anchor.
+        _, time, column = path[-1] if depth else (None, times[0] - shift, self._pairs)
+        observed = self._observed
+        for state, now in zip(states[depth:], times[depth:]):
+            if budget is not None:
+                budget.step(len(column))
+            pinned = observed.get(id(state))
+            if pinned is None:
+                if len(observed) >= _MAX_PINNED_STATES:
+                    observed.clear()
+                pinned = observed[id(state)] = (state, {0: {}})
+            memos = pinned[1]
+            d = now - time
+            memo = memos.get(d)
+            if memo is None:
+                memo = memos[d] = {}
+            merged: dict[int, int] = {}
+            for fid, count in column:
+                rid = memo.get(fid)
+                if rid is None:
+                    rid = _observe(fid, d, state, memo, memos[0])
+                merged[rid] = merged.get(rid, 0) + count
+            column = list(merged.items())
+            time = now
+            path.append((state, now, column))
+            self._steps_computed += 1
+        # Re-anchor the last column to the boundary.
+        d = boundary - time
+        shifts = self._shifts
+        merged = {}
+        for fid, count in column:
+            if d:
+                key = (fid, d)
+                fid = shifts.get(key)
+                if fid is None:
+                    fid = shifts[key] = self.shift_root(key[0], d)
+            merged[fid] = merged.get(fid, 0) + count
+        return list(merged.items())
 
 
 # -- carried-column wire form -------------------------------------------------------

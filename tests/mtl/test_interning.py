@@ -26,6 +26,7 @@ from repro.mtl.ast import (
     Until,
     atom,
     eventually,
+    formula_of,
     intern_formula,
     intern_id,
     interned_count,
@@ -168,3 +169,19 @@ class TestLifecycle:
         del bulk
         gc.collect()
         assert interned_count() < before + 200
+
+    def test_a_formula_rebuilt_from_the_arena_is_the_canonical_one(self):
+        """``formula_of`` rebuilds a collected formula from its arena rows
+        without entering it in the object cache; the constructors,
+        re-interning and unpickling still find that very object."""
+
+        def build() -> Formula:
+            return eventually(land(atom("rebuilt_a"), atom("rebuilt_b")), Interval.bounded(0, 5))
+
+        fid = intern_id(build())
+        gc.collect()
+        rebuilt = formula_of(fid)
+        assert intern_id(rebuilt) == fid
+        assert build() is rebuilt
+        assert intern_formula(structural_clone(rebuilt)) is rebuilt
+        assert pickle.loads(pickle.dumps(rebuilt)) is rebuilt

@@ -21,6 +21,7 @@ from repro.mtl import ast
 from repro.mtl.interval import Interval
 from repro.mtl.ast import formula_of, intern_formula
 from repro.mtl.trace import State, TimedTrace
+from repro.progression import columnar
 from repro.progression.columnar import ColumnarSegmentProgressor
 from repro.progression.progressor import anchor_shift, close, close_id, progress
 
@@ -176,24 +177,29 @@ def test_constant_roots_pass_through():
 def test_plan_cache_hits_across_progressor_instances():
     """The plan cache is process-local, not per-progressor: a second
     progressor over the same root set must *hit* the plans the first one
-    compiled instead of recompiling them."""
+    compiled instead of recompiling them.  (Plans belong to the backward
+    pass, so the column is wider than a forward kernel's.)"""
     from repro.mtl.parser import parse
     from repro.mtl.trace import State, TimedTrace
     from repro.progression.columnar import clear_plan_cache, plan_cache_stats
 
-    interned = intern_formula(parse("G[0,9) (a -> F[0,3) b)"))
+    pairs = [
+        (intern_formula(parse(f"G[0,9) (a -> F[0,{k}) b)"))._intern_id, 1)
+        for k in range(3, 3 + columnar._FORWARD_MAX_ROOTS + 1)
+    ]
     trace = TimedTrace(
         (State(frozenset({"a"})), State(frozenset({"b"}))), (0, 1)
     )
     clear_plan_cache()
     try:
-        first = ColumnarSegmentProgressor([(interned._intern_id, 1)])
+        first = ColumnarSegmentProgressor(pairs)
+        assert not first.steps_forward
         first.progress_trace(trace, 0, 2)
         after_first = plan_cache_stats()
         assert after_first["misses"] >= 1
         assert after_first["size"] >= 1
 
-        second = ColumnarSegmentProgressor([(interned._intern_id, 1)])
+        second = ColumnarSegmentProgressor(pairs)
         result = second.progress_trace(trace, 0, 2)
         after_second = plan_cache_stats()
         assert after_second["hits"] > after_first["hits"]
@@ -260,10 +266,15 @@ def test_grouped_roots_equal_aligned_roots_equal_object_progression(
             ast.lor(always, ast.land(until, ast.eventually(g, _window(0, 5)))),
         ):
             roots[root] = None
+    # Constant f / g collapse the roots to a few; the grouped table is
+    # the backward pass's, so keep the column wider than a forward one.
+    for lo in range(columnar._FORWARD_MAX_ROOTS + 1):
+        roots[ast.eventually(ast.atom("q"), _window(lo, 50))] = None
     pairs = [(intern_formula(root)._intern_id, k + 1) for k, root in enumerate(roots)]
     boundary = trace.end_time + pad
 
     kernel = ColumnarSegmentProgressor(pairs)
+    assert not kernel.steps_forward
     aligned = kernel.progress_roots(trace, d, boundary)
     assert aligned == [
         progress(trace, anchor_shift(root, d), boundary)._intern_id for root in roots

@@ -7,15 +7,22 @@ per distinct suffix.  These tests pin the three references the sharing
 must agree with — a fresh kernel per trace, the ``REPRO_COLUMNAR=0``
 object walk, and itself after a preempted pass — plus the cache's
 lifetime, cap and counters.
+
+A narrow column shares the other way round: it is stepped forward one
+observation at a time and keeps the previous trace's path, so a trace
+computes only the positions after its longest common prefix with it.
+The last section pins that strategy against the backward pass and the
+object walk, and its counters.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.computation import DistributedComputation
@@ -28,7 +35,8 @@ from repro.encoding.verdict_enumerator import (
 from repro.errors import PreemptedError
 from repro.mtl import ast, parse
 from repro.mtl.ast import formula_of, intern_formula
-from repro.mtl.trace import TimedTrace
+from repro.mtl.interval import Interval
+from repro.mtl.trace import State, TimedTrace
 from repro.progression import columnar
 from repro.progression.budget import Budget
 from repro.progression.columnar import ColumnarSegmentProgressor
@@ -141,10 +149,20 @@ def _chain_shaped_segment():
     return traces, [(intern_formula(spec)._intern_id, 1)]
 
 
+def _widened(pairs, extra: str) -> list[tuple[int, int]]:
+    """``pairs`` plus ``extra`` under as many start offsets as a forward
+    kernel takes roots: a column for the backward pass's suffix cache."""
+    widened = list(pairs)
+    for lo in range(columnar._FORWARD_MAX_ROOTS):
+        widened.append((intern_formula(parse(extra.format(lo=lo)))._intern_id, 1))
+    assert not ColumnarSegmentProgressor(widened).steps_forward
+    return widened
+
+
 def test_most_columns_of_a_chain_shaped_segment_are_reused():
     traces, pairs = _chain_shaped_segment()
     assert len(traces) == 400
-    kernel = ColumnarSegmentProgressor(pairs)
+    kernel = ColumnarSegmentProgressor(_widened(pairs, "F[{lo},40) b"))
     for trace in traces:
         kernel.progress_trace(trace, 0, trace.end_time)
     total = kernel.columns_reused + kernel.columns_computed
@@ -214,7 +232,7 @@ def test_nothing_is_reused_across_segments():
         )
         for lo in (0, 10)
     )
-    pairs = [(intern_formula(parse("a U[0,40) b"))._intern_id, 1)]
+    pairs = _widened([(intern_formula(parse("a U[0,40) b"))._intern_id, 1)], "a U[{lo},41) b")
     kernel = ColumnarSegmentProgressor(pairs)
     for trace in first:
         kernel.progress_trace(trace, 0, 30)
@@ -309,3 +327,181 @@ def test_wide_column_under_the_default_trace_budget_stays_under_the_cap(monkeypa
     # The cap did bind: without it the same traces keep more, reuse more.
     assert uncapped.cached_cells > cap
     assert uncapped.columns_reused > capped.columns_reused
+
+
+# -- forward steps over shared prefixes ---------------------------------------------
+
+
+def _steppable_column(f, g, h, window, reach) -> list[tuple[int, int]]:
+    """As many roots as a forward kernel takes: a depth-3 formula under a
+    window, predicate atoms, an until whose right operand is temporal,
+    and a negated always.  ``h``, the until's left operand, is drawn
+    temporal now and then, which only the kernel's guard keeps backward."""
+    roots = [
+        ast.always(f, reach),
+        ast.eventually(ast.land(g, GAIN), window),
+        ast.until(ast.lor(h, GAIN), ast.eventually(g, window), reach),
+        ast.lnot(ast.always(ast.lor(f, ast.lnot(GAIN)), window)),
+    ]
+    assert len(roots) == columnar._FORWARD_MAX_ROOTS
+    return [(intern_formula(root)._intern_id, k + 1) for k, root in enumerate(roots)]
+
+
+@given(
+    computation=small_computations(deltas=True),
+    f=formulas(max_depth=3),
+    g=formulas(max_depth=2),
+    h=st.one_of(st.just(ast.atom("a")), formulas(max_depth=1)),
+    window=intervals(),
+    reach=intervals(),
+    lead=st.integers(0, 3),
+    shuffle=st.one_of(st.none(), st.randoms(use_true_random=False)),
+)
+@settings(max_examples=60, **_SETTINGS)
+def test_forward_steps_equal_backward_pass_equal_object_walk(
+    computation, f, g, h, window, reach, lead, shuffle
+):
+    """``progress_trace`` on a forward kernel == the backward pass's
+    per-root results (``progress_roots``) merged == the object walk,
+    over traces in DFS order (each trace shares its longest prefix with
+    the one before) and shuffled (shares little), two boundaries each."""
+    pairs = _steppable_column(f, g, h, window, reach)
+    forward = ColumnarSegmentProgressor(pairs)
+    assume(forward.steps_forward)
+    hb = computation.happened_before()
+    traces = list(enumerate_traces(hb, computation.epsilon, limit=200, **CONTEXT))
+    anchor = min(trace.start_time for trace in traces) - lead
+    hi = min(trace.end_time for trace in traces)
+    if shuffle is not None:
+        shuffle.shuffle(traces)
+
+    backward = ColumnarSegmentProgressor(pairs)
+    for trace in traces:
+        shift = trace.start_time - anchor
+        for boundary in (max(hi, trace.end_time), trace.end_time + 3):
+            roots = backward.progress_roots(trace, shift, boundary)
+            assert roots == _object_walk(pairs, trace, shift, boundary)
+            merged: Counter = Counter()
+            for rid, (_, count) in zip(roots, pairs):
+                merged[rid] += count
+            assert forward.progress_trace(trace, shift, boundary) == list(merged.items())
+    positions = sum(map(len, traces))
+    assert forward.steps_computed + forward.positions_shared == 2 * positions
+    # A trace's second boundary re-anchors its whole path, computing nothing.
+    assert forward.steps_computed <= positions <= forward.positions_shared
+    assert forward.columns_computed == forward.columns_reused == 0
+
+    whole = enumerate_segment_outcomes(
+        hb, computation.epsilon, pairs, anchor, hi, max_traces=200, **CONTEXT
+    ).id_counts()
+    with _columnar(False):
+        assert (
+            enumerate_segment_outcomes(
+                hb, computation.epsilon, pairs, anchor, hi, max_traces=200, **CONTEXT
+            ).id_counts()
+            == whole
+        )
+
+
+def test_an_until_with_a_temporal_left_operand_takes_the_backward_pass(monkeypatch):
+    """Stepping ``l U r`` nests the progressed ``l`` over the next step's
+    disjunction, ``l0 & (r1 | l1 & U)``, where the batch pass builds
+    ``r0 | l0 & r1 | l0 & l1 & U``; with a temporal ``l`` the two are
+    equivalent but not the same residual (``id_lor`` does not absorb).
+    Hypothesis found the shape in the column above: f = a,
+    g = F[3,4) a, window [0,1), reach [0,3)."""
+    found = _column(
+        ast.atom("a"), parse("F[3,4) a"), Interval.bounded(0, 1), Interval.bounded(0, 3)
+    )
+    assert not ColumnarSegmentProgressor(found).steps_forward
+
+    pairs = [(intern_formula(parse("F[3,4) a U[0,3) a"))._intern_id, 1)]
+    trace = TimedTrace((State.of(), State.of("a")), (0, 1))
+    kernel = ColumnarSegmentProgressor(pairs)
+    assert not kernel.steps_forward
+    (walked,) = _object_walk(pairs, trace, 0, 1)
+    assert kernel.progress_trace(trace, 0, 1) == [(walked, 1)]
+    assert (kernel.columns_computed, kernel.steps_computed) == (len(trace), 0)
+    assert str(formula_of(walked)) == "F[2,3) a | (F[2,3) a & F[3,4) a & (F[3,4) a U[0,2) a))"
+
+    # Stepped anyway, the same trace ends absorbed: F[2,3) a.
+    monkeypatch.setattr(columnar, "_steps_forward", lambda roots: True)
+    ((stepped, _),) = ColumnarSegmentProgressor(pairs).progress_trace(trace, 0, 1)
+    assert stepped == intern_formula(parse("F[2,3) a"))._intern_id != walked
+
+
+def test_forward_counters_count_computed_steps_and_shared_positions():
+    """Exact counts: a trace computes the positions after its longest
+    common prefix with the previous trace — same state *objects*, same
+    times, same shift — and shares the rest, whatever the boundary."""
+    a, b, quiet = State.of("a"), State.of("b"), State.of()
+    pairs = [(intern_formula(parse("G[0,9) (a -> F[0,3) b)"))._intern_id, 2)]
+    kernel = ColumnarSegmentProgressor(pairs)
+    assert kernel.steps_forward
+    feed = [
+        # (states, times, shift, boundary) -> (computed, shared) it adds
+        (((a, b, quiet), (1, 2, 3), 0, 3), (3, 0)),
+        (((a, b, a), (1, 2, 4), 0, 4), (1, 2)),
+        (((a, quiet, b), (1, 2, 3), 0, 5), (2, 1)),
+        (((a, quiet, b), (1, 2, 3), 0, 9), (0, 3)),  # another boundary only
+        (((a, quiet, b), (1, 3, 3), 0, 9), (2, 1)),  # another time
+        (((a, quiet, b), (1, 3, 3), 1, 9), (3, 0)),  # another shift
+        (((State.of("a"), quiet, b), (1, 3, 3), 1, 9), (3, 0)),  # an equal, other state
+    ]
+    for (states, times, shift, boundary), (computed, shared) in feed:
+        trace = TimedTrace(states, times)
+        before = (kernel.steps_computed, kernel.positions_shared)
+        (expected,) = _object_walk(pairs, trace, shift, boundary)
+        assert kernel.progress_trace(trace, shift, boundary) == [(expected, 2)]
+        assert kernel.steps_computed - before[0] == computed
+        assert kernel.positions_shared - before[1] == shared
+    assert kernel.columns_computed == kernel.columns_reused == kernel.head_rows_computed == 0
+
+
+def test_dfs_order_computes_each_distinct_prefix_once():
+    """Consecutive DFS traces share their longest common prefix, so the
+    path of the previous trace is all the memory the sharing needs:
+    steps computed == distinct prefixes (the DFS tree's nodes)."""
+    traces, pairs = _chain_shaped_segment()
+    kernel = ColumnarSegmentProgressor(pairs)
+    assert kernel.steps_forward
+    for trace in traces:
+        kernel.progress_trace(trace, 0, trace.end_time)
+    prefixes = {
+        tuple(zip(map(id, trace.states[:k]), trace.times[:k]))
+        for trace in traces
+        for k in range(1, len(trace) + 1)
+    }
+    positions = sum(map(len, traces))
+    assert kernel.steps_computed == len(prefixes) < positions / 2
+    assert kernel.steps_computed + kernel.positions_shared == positions
+
+
+def test_a_forward_kernel_steps_the_budget_once_per_computed_step():
+    traces, pairs = _chain_shaped_segment()
+    checkpoints = []
+    budget = Budget(check_every=1, poll_hook=lambda: checkpoints.append(None))
+    kernel = ColumnarSegmentProgressor(pairs)
+    for trace in traces[:60]:
+        kernel.progress_trace(trace, 0, trace.end_time, budget=budget)
+    assert len(checkpoints) == kernel.steps_computed > 0
+
+
+@pytest.mark.parametrize("cap", [columnar._MAX_PINNED_STATES, 3])
+def test_fresh_states_per_trace_never_alias_a_freed_one(monkeypatch, cap):
+    """A backend that builds new states per trace (the CSP one) frees
+    them once the trace is done, and the next trace's states may reuse
+    their addresses.  The memo is keyed on states the kernel pins, so an
+    address always names one state — also across the memo's reset at
+    its cap."""
+    monkeypatch.setattr(columnar, "_MAX_PINNED_STATES", cap)
+    pairs = [(intern_formula(parse("G[0,9) (a -> F[0,3) b)"))._intern_id, 1)]
+    kernel = ColumnarSegmentProgressor(pairs)
+    rng = random.Random(25)
+    for _ in range(300):
+        props = [frozenset(p for p in "ab" if rng.random() < 0.5) for _ in range(3)]
+        trace = TimedTrace([State(p) for p in props], (1, 2, 4))
+        (expected,) = _object_walk(pairs, trace, 0, 5)
+        assert kernel.progress_trace(trace, 0, 5) == [(expected, 1)]
+        del trace  # its states are freed now, unless the kernel pinned them
+    assert kernel.positions_shared == 0

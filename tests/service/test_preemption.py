@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.distributed.computation import DistributedComputation
+from repro.encoding.verdict_enumerator import DEFAULT_TRACE_BUDGET
 from repro.errors import CancelledError, PreemptedError
 from repro.monitor.online import OnlineMonitor
 from repro.monitor.smt_monitor import SmtMonitor
@@ -31,6 +32,10 @@ from repro.transport.agent import spawn_agent
 SPEC = parse("G[0,40) (a -> F[0,6) b)")
 EPSILON = 4
 BOUNDARY = 8
+#: Trace budget of the calls an interrupt must land in: the stream's
+#: first segment has far more traces than any budget, and under the
+#: default one its advance is over in about the 0.3 s an interrupt waits.
+HEAVY_TRACES = 5 * DEFAULT_TRACE_BUDGET
 
 ENGINES = [
     pytest.param("1", id="columnar"),
@@ -52,9 +57,9 @@ def _events(seed: int) -> list[tuple[str, int, frozenset[str]]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(seed: int) -> "object":
+def _reference(seed: int, max_traces: int = DEFAULT_TRACE_BUDGET) -> "object":
     """The same stream, never interrupted."""
-    monitor = OnlineMonitor(SPEC, EPSILON)
+    monitor = OnlineMonitor(SPEC, EPSILON, max_traces_per_segment=max_traces)
     for process, t, props in _events(seed):
         monitor.observe(process, t, props)
     monitor.advance_to(BOUNDARY)
@@ -130,7 +135,7 @@ class TestEngineLevelDifferential:
 
 def _interrupted_session_run(service: MonitorService, seed: int):
     """Feed a session, interrupt a running advance, retry, finish."""
-    session = service.open_session(SPEC, epsilon=EPSILON)
+    session = service.open_session(SPEC, epsilon=EPSILON, max_traces_per_segment=HEAVY_TRACES)
     for process, t, props in _events(seed):
         session.observe(process, t, props)
     outcome: dict = {}
@@ -163,7 +168,7 @@ class TestTransportLevelDifferential:
             for seed in range(3):
                 result, preempted = _interrupted_session_run(service, seed)
                 preempted_any = preempted_any or preempted
-                reference = _reference(seed)
+                reference = _reference(seed, HEAVY_TRACES)
                 assert result.verdict_counts == reference.verdict_counts
                 assert result.verdicts == reference.verdicts
         assert preempted_any, "no interrupt ever landed mid-segment"
@@ -176,7 +181,7 @@ class TestTransportLevelDifferential:
                 for seed in range(3):
                     result, preempted = _interrupted_session_run(service, seed)
                     preempted_any = preempted_any or preempted
-                    reference = _reference(seed)
+                    reference = _reference(seed, HEAVY_TRACES)
                     assert result.verdict_counts == reference.verdict_counts
                     assert result.verdicts == reference.verdicts
             assert preempted_any, "no interrupt ever landed mid-segment"
@@ -197,7 +202,9 @@ class TestTransportLevelDifferential:
         """An interrupted session keeps its buffered events and stays
         usable — preemption is not a lifecycle event."""
         with MonitorService(workers=1) as service:
-            session = service.open_session(SPEC, epsilon=EPSILON)
+            session = service.open_session(
+                SPEC, epsilon=EPSILON, max_traces_per_segment=HEAVY_TRACES
+            )
             for process, t, props in _events(0):
                 session.observe(process, t, props)
             done = threading.Event()

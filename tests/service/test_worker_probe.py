@@ -290,7 +290,7 @@ class TestSlowCallIsNotALoss:
         """An ``advance_to`` that legitimately runs many RTOs is probed
         (the worker says nothing: it is running) and returns its result
         with no re-execution and no preemption."""
-        from tests.service.test_preemption import BOUNDARY, _events, _reference
+        from tests.service.test_preemption import BOUNDARY, HEAVY_TRACES, _events, _reference
         from tests.service.test_preemption import EPSILON as HEAVY_EPSILON
         from tests.service.test_preemption import SPEC as HEAVY_SPEC
 
@@ -300,6 +300,7 @@ class TestSlowCallIsNotALoss:
                 HEAVY_SPEC,
                 HEAVY_EPSILON,
                 call_policy=RetryPolicy(attempts=2, timeout=120.0),
+                max_traces_per_segment=HEAVY_TRACES,
             )
             for _ in range(5):
                 session.poll()  # warm the estimator: RTO falls to its floor
@@ -312,7 +313,7 @@ class TestSlowCallIsNotALoss:
             result = session.finish()
         assert elapsed > 10 * RTO_FLOOR, "workload too light to outlive the RTO"
         assert service.probes >= 3
-        assert result.verdict_counts == _reference(0).verdict_counts
+        assert result.verdict_counts == _reference(0, HEAVY_TRACES).verdict_counts
         assert max(CountingExecutor.executions.values()) == 1
 
 
