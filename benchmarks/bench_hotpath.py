@@ -1,26 +1,20 @@
 """Hot-path perf-regression harness (the monitor's enumerate→progress→carry loop).
 
-Four metrics, each timing one layer of the hot path:
+Each metric times one layer of the hot path:
 
 * ``carried_serial`` — the carried-residual-heavy reference workload: a
   fischer computation whose phi4 instantiation fans out into thousands of
   distinct carried residuals across six segments, run through the plain
   serial :class:`~repro.monitor.smt_monitor.SmtMonitor`.  This is the
   workload the formula-interning work is measured on.
-* ``segment_parallel`` — the same workload through the segment-parallel
-  ``ParallelMonitor.run`` path (serial prefix + shard fan-out), with the
-  verdict multiset asserted bit-identical to the serial run.
-* ``shard_split`` — the ``_shard_residuals`` split of the captured
-  carried set (the client-side cost paid at every fan-out).
+* ``carried_columnar`` — the same workload under the object walk and the
+  columnar kernel in one process, verdicts asserted bit-identical; the
+  in-run speedup is gated.
 * ``observe_wire`` — encode+decode of ``session_observe`` batches through
   the transport frame codec (the per-event session hot path), plus a
   ``session_service`` end-to-end feed through a one-worker
   :class:`~repro.service.MonitorService` session asserted bit-identical
   to the in-process :class:`~repro.monitor.online.OnlineMonitor`.
-* ``intra_segment`` — an enumeration-bound single-segment computation
-  through ``ParallelMonitor(intra_segment_parts=...)`` vs the serial
-  engine, verdict multisets asserted bit-identical; the in-run speedup
-  is gated only on >= 4-core hosts (report-only on small CI runners).
 * ``preempt_latency`` — cancel a running ``SmtMonitor.run`` via its
   :class:`~repro.progression.budget.Budget` and time cancel-to-unwind
   (the one-checkpoint-interval promise, as a smoke number): the median
@@ -55,7 +49,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench.workload import WorkloadSpec, formula_for, generate_workload
 from repro.monitor.online import OnlineMonitor
 from repro.monitor.smt_monitor import SmtMonitor
-from repro.parallel import ParallelMonitor
 from repro.service import MonitorService
 from repro.transport.frames import Request, decode_frame, encode_frame
 
@@ -65,12 +58,6 @@ SCHEMA = 2
 #: this much faster than the object path *measured in the same run* — a
 #: relative gate, so it holds on any host speed.
 MIN_COLUMNAR_SPEEDUP = 1.3
-
-#: In-run partitioned-vs-serial speedup the ``intra_segment`` metric must
-#: show — but only on hosts with enough cores for the claim to be
-#: meaningful; below that the number is reported, not gated.
-MIN_INTRA_SEGMENT_SPEEDUP = 1.15
-INTRA_SEGMENT_GATE_CORES = 4
 
 #: The carried-residual-heavy reference workload (full / smoke budgets).
 WORKLOAD = WorkloadSpec(
@@ -170,56 +157,6 @@ def bench_carried_columnar(mode: str) -> dict:
     }
 
 
-def bench_segment_parallel(mode: str, serial_counts: dict) -> dict:
-    computation = generate_workload(WORKLOAD)
-    formula = formula_for(PHI, WORKLOAD.processes, window_ms=WINDOW_MS)
-    parallel = ParallelMonitor(
-        formula,
-        workers=2,
-        segments=SEGMENTS,
-        saturate=False,
-        max_traces_per_segment=TRACE_BUDGET[mode],
-    )
-    seconds, result = _timed(lambda: parallel.run(computation))
-    counts = {str(k): v for k, v in sorted(result.verdict_counts.items())}
-    if counts != serial_counts:
-        raise SystemExit(
-            f"segment-parallel verdicts {counts} diverge from serial {serial_counts}"
-        )
-    return {"seconds": seconds, "verdict_counts": counts}
-
-
-def bench_shard_split(mode: str) -> dict:
-    """Split the captured heavy carried set the way ``run`` would."""
-    computation = generate_workload(WORKLOAD)
-    formula = formula_for(PHI, WORKLOAD.processes, window_ms=WINDOW_MS)
-    engine = SmtMonitor(
-        formula,
-        segments=SEGMENTS,
-        saturate=False,
-        max_traces_per_segment=TRACE_BUDGET[mode],
-    )
-    from repro.monitor.verdicts import MonitorResult
-
-    hb = computation.happened_before()
-    segments = engine.segments_of(computation)
-    state = engine.initial_state()
-    sink = MonitorResult(formula)
-    heaviest: dict = dict(state.carried)
-    for order in range(len(segments)):
-        state = engine.step(hb, segments, order, state, sink, computation.epsilon)
-        if len(state.carried) > len(heaviest):
-            heaviest = dict(state.carried)
-    parallel = ParallelMonitor(formula, workers=4)
-    rounds = 5 if mode == "smoke" else 20
-    started = time.perf_counter()
-    for _ in range(rounds):
-        shards = parallel._shard_residuals(heaviest)
-    seconds = (time.perf_counter() - started) / rounds
-    assert sum(len(s) for s in shards) == len(heaviest)
-    return {"seconds": seconds, "residuals": len(heaviest)}
-
-
 def _wire_events(count: int, base: int = 0) -> list:
     events = []
     for i in range(count):
@@ -289,10 +226,9 @@ def bench_session_service(mode: str) -> dict:
     return {"seconds": seconds, "events": count}
 
 
-def _intra_workload(mode: str):
-    """A dense single-segment computation: enumeration-bound, exhaustive
-    (no truncation — per-part trace budgets would truncate at different
-    points than serial and break the bit-identical assertion)."""
+def _dense_workload(mode: str):
+    """A dense single-segment computation: enumeration-bound and
+    exhaustive, so an unbudgeted run outlives a cancel."""
     from repro.distributed.computation import DistributedComputation
     from repro.mtl import parse
 
@@ -306,33 +242,6 @@ def _intra_workload(mode: str):
         },
     )
     return computation, parse("G[0,40) (a -> F[0,5) b)")
-
-
-def bench_intra_segment(mode: str) -> dict:
-    """Partitioned enumeration vs serial on the same run, bit-identical."""
-    computation, formula = _intra_workload(mode)
-    engine = SmtMonitor(formula, saturate=False, max_traces_per_segment=None)
-    serial_seconds, serial_result = _timed(lambda: engine.run(computation))
-    parallel = ParallelMonitor(
-        formula,
-        workers=2,
-        saturate=False,
-        max_traces_per_segment=None,
-        intra_segment_parts=2,
-    )
-    seconds, result = _timed(lambda: parallel.run(computation))
-    serial_counts = {str(k): v for k, v in sorted(serial_result.verdict_counts.items())}
-    counts = {str(k): v for k, v in sorted(result.verdict_counts.items())}
-    if counts != serial_counts:
-        raise SystemExit(
-            f"intra-segment verdicts {counts} diverge from serial {serial_counts}"
-        )
-    return {
-        "seconds": seconds,
-        "serial_seconds": serial_seconds,
-        "speedup": serial_seconds / seconds,
-        "verdict_counts": counts,
-    }
 
 
 #: Draws behind the ``preempt_latency`` median.
@@ -354,7 +263,7 @@ def _preempt_once() -> float:
     from repro.errors import PreemptedError
     from repro.progression.budget import Budget
 
-    computation, formula = _intra_workload("full")  # big enough to outlive the cancel
+    computation, formula = _dense_workload("full")  # big enough to outlive the cancel
     engine = SmtMonitor(formula, saturate=False, max_traces_per_segment=None)
     budget = Budget()
     unwound: dict = {}
@@ -396,15 +305,6 @@ def run_suite(mode: str) -> dict:
     print(f"  {metrics['carried_columnar']['seconds']:.3f}s columnar vs "
           f"{metrics['carried_columnar']['object_seconds']:.3f}s object "
           f"({metrics['carried_columnar']['speedup']:.2f}x, verdicts bit-identical)")
-    print("segment_parallel ...", flush=True)
-    metrics["segment_parallel"] = bench_segment_parallel(
-        mode, metrics["carried_serial"]["verdict_counts"]
-    )
-    print(f"  {metrics['segment_parallel']['seconds']:.3f}s (verdicts bit-identical)")
-    print("shard_split ...", flush=True)
-    metrics["shard_split"] = bench_shard_split(mode)
-    print(f"  {metrics['shard_split']['seconds'] * 1000:.2f} ms/split "
-          f"({metrics['shard_split']['residuals']} residuals)")
     print("observe_wire ...", flush=True)
     metrics["observe_wire"] = bench_observe_wire(mode)
     print(f"  {metrics['observe_wire']['events_per_second']:,.0f} events/s "
@@ -413,11 +313,6 @@ def run_suite(mode: str) -> dict:
     metrics["session_service"] = bench_session_service(mode)
     print(f"  {metrics['session_service']['seconds']:.3f}s "
           f"({metrics['session_service']['events']} events, verdicts bit-identical)")
-    print("intra_segment ...", flush=True)
-    metrics["intra_segment"] = bench_intra_segment(mode)
-    print(f"  {metrics['intra_segment']['seconds']:.3f}s partitioned vs "
-          f"{metrics['intra_segment']['serial_seconds']:.3f}s serial "
-          f"({metrics['intra_segment']['speedup']:.2f}x, verdicts bit-identical)")
     print("preempt_latency ...", flush=True)
     metrics["preempt_latency"] = bench_preempt_latency(mode)
     print(f"  {metrics['preempt_latency']['seconds'] * 1000:.1f} ms cancel-to-unwind "
@@ -468,23 +363,6 @@ def check_against(report: dict, baseline_path: Path, tolerance: float) -> int:
             failures += 1
         print(f"  columnar speedup   {speedup:.2f}x "
               f"(gate >= {MIN_COLUMNAR_SPEEDUP}x) {'ok' if ok else 'REGRESSION'}")
-    intra = report["metrics"].get("intra_segment")
-    if intra is not None:
-        # The parallel speedup claim is meaningless on hosts with fewer
-        # cores than parts + client: gate only where it can hold, report
-        # everywhere (the bit-identical assertion already ran in-suite).
-        cores = os.cpu_count() or 1
-        speedup = intra["speedup"]
-        if cores >= INTRA_SEGMENT_GATE_CORES:
-            ok = speedup >= MIN_INTRA_SEGMENT_SPEEDUP
-            if not ok:
-                failures += 1
-            print(f"  intra-seg speedup  {speedup:.2f}x "
-                  f"(gate >= {MIN_INTRA_SEGMENT_SPEEDUP}x on {cores} cores) "
-                  f"{'ok' if ok else 'REGRESSION'}")
-        else:
-            print(f"  intra-seg speedup  {speedup:.2f}x "
-                  f"(report-only: {cores} cores < {INTRA_SEGMENT_GATE_CORES})")
     return 1 if failures else 0
 
 

@@ -17,8 +17,7 @@ Two claims, both about the :class:`~repro.service.MonitorService` being a
 
 3. **Persistent vs fresh pool** — the same sequence of small batches run
    (a) through one persistent service and (b) through a fresh service
-   per batch (the legacy ``ParallelMonitor.run_batch`` behaviour: spawn,
-   monitor, tear down).  On repeated small batches the fork/teardown tax
+   per batch (spawn, monitor, tear down).  On repeated small batches the fork/teardown tax
    dominates the fresh path, so the persistent pool wins.  Matching the
    scaling-benchmark convention, the win is *asserted* only on >= 4-core
    non-CI hosts; elsewhere the numbers are printed for the record.

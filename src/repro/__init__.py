@@ -23,7 +23,6 @@ from repro import (
     io,
     monitor,
     mtl,
-    parallel,
     progression,
     protocols,
     service,
@@ -45,7 +44,6 @@ __all__ = [
     "io",
     "monitor",
     "mtl",
-    "parallel",
     "progression",
     "protocols",
     "service",

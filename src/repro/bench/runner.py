@@ -8,10 +8,12 @@ from typing import Callable, Sequence
 
 from repro.bench.workload import WorkloadSpec, formula_for, generate_workload, model_for_formula
 from repro.distributed.computation import DistributedComputation
+from repro.errors import MonitorError
 from repro.monitor.factory import make_monitor
 from repro.monitor.verdicts import MonitorResult
 from repro.mtl.ast import Formula
-from repro.service import BatchReport, MonitorService
+from repro.service import BatchReport, MonitorService, MonitorTask, default_workers
+from repro.service.tasks import run_monitor_task
 
 
 @dataclass
@@ -89,7 +91,6 @@ def run_batch_timed(
     computations: Sequence[DistributedComputation],
     monitor: str = "smt",
     workers: int | None = None,
-    chunksize: int | None = None,
     service: MonitorService | None = None,
     **monitor_kwargs,
 ) -> BatchReport:
@@ -102,19 +103,39 @@ def run_batch_timed(
 
     Pass a persistent :class:`~repro.service.MonitorService` as
     ``service`` to amortise pool startup across repeated batches (the
-    ``workers``/``chunksize`` arguments are then ignored in favour of the
-    service's own pool); without one, a temporary pool is spawned and
-    torn down around this batch — the legacy per-call behaviour.
-    ``workers=1`` without a service runs inline (no pool, no IPC), so
-    serial baselines measure the algorithm, not queue round-trips.
+    ``workers`` argument is then ignored in favour of the service's own
+    pool); without one, a temporary service of ``workers`` processes
+    (``None`` picks :func:`~repro.service.default_workers`) is spawned
+    and torn down around this batch.  One worker — or one item — runs
+    inline (no pool, no IPC), so serial baselines measure the algorithm,
+    not queue round-trips.
     """
     if service is not None:
         return service.map(computations, formula, monitor=monitor, **monitor_kwargs)
-    from repro.parallel import ParallelMonitor
-
-    return ParallelMonitor(
-        formula, monitor=monitor, workers=workers, chunksize=chunksize, **monitor_kwargs
-    ).run_batch(computations)
+    computations = list(computations)
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise MonitorError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, max(1, len(computations)))
+    if workers > 1:
+        with MonitorService(workers=workers) as pool:
+            return pool.map(computations, formula, monitor=monitor, **monitor_kwargs)
+    started = time.perf_counter()
+    items = [
+        run_monitor_task(
+            MonitorTask(
+                index=index,
+                kind=monitor,
+                formula=formula,
+                kwargs=monitor_kwargs,
+                computation=computation,
+            )
+        )
+        for index, computation in enumerate(computations)
+    ]
+    wall = time.perf_counter() - started
+    return BatchReport(items=items, workers=1, wall_seconds=wall)
 
 
 def batch_sweep_point(label: str, report: BatchReport) -> SweepPoint:

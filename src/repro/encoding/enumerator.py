@@ -32,7 +32,6 @@ def enumerate_traces(
     frontier_props=None,
     timestamp_samples: int | None = None,
     budget: Budget | None = None,
-    root_branches: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[TimedTrace]:
     """All traces of ``Tr(E, ⇝)`` for the segment, lazily.
 
@@ -41,14 +40,9 @@ def enumerate_traces(
     seeds the cumulative numeric valuation (sums carried from previous
     segments).  ``budget`` is checkpointed once per DFS node (or per CSP
     model) and raises :class:`~repro.errors.PreemptedError` mid-stream
-    when tripped.  ``root_branches`` restricts the DFS to the given
-    ``(event_index, timestamp)`` first choices — the partitioned mode:
-    the union of the traces over a partition of :func:`root_frontier` is
-    exactly the unrestricted enumeration.
+    when tripped.
     """
     if backend == "csp":
-        if root_branches is not None:
-            raise ValueError("root_branches requires the dfs backend")
         yield from _enumerate_csp(
             hb, epsilon, clamp_lo, clamp_hi, limit, base_valuation, frontier_props,
             timestamp_samples, budget)
@@ -57,45 +51,7 @@ def enumerate_traces(
         raise ValueError(f"unknown backend {backend!r}")
     yield from _enumerate_dfs(
         hb, epsilon, clamp_lo, clamp_hi, limit, base_valuation, frontier_props,
-        timestamp_samples, budget, root_branches)
-
-
-def root_frontier(
-    hb: HappenedBefore | HappenedBeforeView,
-    epsilon: int,
-    clamp_lo: int | None = None,
-    clamp_hi: int | None = None,
-    timestamp_samples: int | None = None,
-) -> list[tuple[int, int]]:
-    """The DFS root branches: every admissible first ``(event, timestamp)``.
-
-    Each pair is an ``(event_index, timestamp)`` first choice of the
-    unrestricted DFS, in the exact order the serial walk would try them.
-    Partitioning this list and running :func:`enumerate_traces` with each
-    part as ``root_branches`` yields disjoint sub-enumerations whose
-    union (as a multiset of traces) equals the serial walk — the split
-    point for intra-segment parallelism.
-    """
-    events: Sequence[Event] = hb.events
-    n = len(events)
-    if n == 0:
-        return []
-    domains = [
-        _diverse_first(
-            timestamp_domain(event, epsilon, clamp_lo, clamp_hi, timestamp_samples).values,
-            events[i].local_time)
-        for i, event in enumerate(events)
-    ]
-    # Mirror the DFS root: dead-branch pruning at last_time=0 empties the
-    # whole enumeration when any event cannot reach a non-negative time.
-    if any(max(d) < 0 for d in domains):
-        return []
-    branches: list[tuple[int, int]] = []
-    for i in range(n):
-        if hb.predecessors_mask(i):
-            continue  # has a happened-before predecessor: never a first pick
-        branches.extend((i, ts) for ts in domains[i] if ts >= 0)
-    return branches
+        timestamp_samples, budget)
 
 
 def _enumerate_csp(
@@ -128,7 +84,6 @@ def _enumerate_dfs(
     frontier_props,
     timestamp_samples,
     budget: Budget | None = None,
-    root_branches: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[TimedTrace]:
     events: Sequence[Event] = hb.events
     n = len(events)
@@ -183,23 +138,7 @@ def _enumerate_dfs(
                 if limit is not None and produced >= limit:
                     return
 
-    if root_branches is None:
-        yield from recurse(0, 0)
-        return
-    # Partitioned mode: the caller pins the depth-0 choices.  The pruning
-    # and ordering below the root are byte-for-byte the serial walk, so
-    # the union over a partition of root_frontier() is the full stream.
-    for i in range(n):
-        if max_time[i] < 0:
-            return
-    for i, timestamp in root_branches:
-        states.append(state_of(1 << i))
-        times.append(timestamp)
-        yield from recurse(1 << i, timestamp)
-        states.pop()
-        times.pop()
-        if limit is not None and produced >= limit:
-            return
+    yield from recurse(0, 0)
 
 
 def _diverse_first(values: tuple[int, ...], center: int) -> tuple[int, ...]:

@@ -11,11 +11,8 @@ The pipeline is *streaming*: :func:`stream_segment_outcomes` pulls one
 trace at a time from the (lazy) enumerator and progresses every carried
 residual over it before the next trace is produced, yielding the running
 :class:`SegmentOutcome` after each trace.  Memory stays bounded by the
-carried-residual set (plus the shared trace cache when enabled), early
-truncation (``max_distinct``, verdict saturation) stops the underlying
-enumeration mid-stream, and incremental consumers — the segment-parallel
-orchestrator watching for the carried set to cross its shard threshold —
-can act on partial outcomes without waiting for the segment to drain.
+carried-residual set, and early truncation (``max_distinct``, verdict
+saturation) stops the underlying enumeration mid-stream.
 :func:`enumerate_segment_outcomes` is the drain-it-all wrapper.
 
 Hot-path notes: the inner loop is *columnar* — carried residuals live as
@@ -33,20 +30,14 @@ materializes the ``residuals`` dict lazily at the API boundary.
 from __future__ import annotations
 
 import os
-import time
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.distributed.hb import HappenedBefore, HappenedBeforeView
-from repro.encoding.enumerator import enumerate_traces, root_frontier
-from repro.encoding.trace_cache import shared_traces
-from repro.errors import CancelledError, PreemptedError
+from repro.encoding.enumerator import enumerate_traces
+from repro.errors import PreemptedError
 from repro.mtl.ast import Formula, formula_of, intern_formula
 from repro.progression.budget import Budget
-from repro.progression.columnar import (
-    ColumnarSegmentProgressor,
-    pack_carried_column,
-    unpack_carried_column,
-)
+from repro.progression.columnar import ColumnarSegmentProgressor
 from repro.progression.progressor import TraceProgressor, anchor_shift, close_id
 
 #: Default per-segment trace budget for the online/offline monitors.
@@ -71,7 +62,7 @@ class SegmentOutcome:
     Residuals are stored as intern-arena ids (the columnar kernel's
     native currency); the ``residuals`` dict of canonical
     :class:`~repro.mtl.ast.Formula` objects is materialized lazily and
-    cached, so boundary consumers (shard split, snapshots, reports) see
+    cached, so boundary consumers (snapshots, reports) see
     the same contract as before while the hot loop never boxes ids.
     """
 
@@ -167,8 +158,8 @@ def carried_column(
     """Normalize a carried set to a merged ``(arena id, count)`` column.
 
     Accepts the classic formula mapping *or* an already-interned id
-    column (the partitioned sub-task path, which ships the column on the
-    wire and never materializes Formula objects).
+    column (the pipeline's carried state, which never materializes
+    Formula objects between segments).
     """
     merged: dict[int, int] = {}
     if isinstance(carried, Mapping):
@@ -196,9 +187,7 @@ def stream_segment_outcomes(
     frontier_props: Mapping[str, frozenset[str]] | None = None,
     saturate_final: bool = False,
     timestamp_samples: int | None = None,
-    cache_key: Hashable | None = None,
     budget: Budget | None = None,
-    root_branches: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[SegmentOutcome]:
     """Progress every carried residual over the segment's traces, lazily.
 
@@ -213,7 +202,7 @@ def stream_segment_outcomes(
     ``carried`` maps residual formulas (anchored at ``anchor``; None means
     "anchored at the first observation", i.e. the initial formula) to the
     number of trace classes that produced them — or is an already-interned
-    ``(arena id, count)`` column (the partitioned sub-task path).
+    ``(arena id, count)`` column (the pipeline's carried state).
     ``boundary`` is the segment's upper time boundary, where the new
     residuals are anchored.
 
@@ -222,18 +211,11 @@ def stream_segment_outcomes(
     True and False — the verdict set cannot grow further, mirroring the
     paper's "one SMT query per distinct verdict" loop.
 
-    ``cache_key``, when given, shares the trace enumeration through the
-    process-local :mod:`~repro.encoding.trace_cache` — the key must
-    capture every argument that shapes the traces (events, epsilon,
-    clamps, backend, limit, valuation context).
-
     ``budget``, when given, is checkpointed throughout enumeration and
     progression; tripping it (cancel flag, deadline) stops the stream
     with ``outcome.preempted = True`` instead of propagating — the final
     yield still happens, with partial counts.  Its trace-limit facet
     supplies ``max_traces`` when the keyword is omitted.
-    ``root_branches`` restricts the DFS to the given root choices (see
-    :func:`~repro.encoding.enumerator.root_frontier`).
 
     An empty ``carried`` yields one empty outcome (``traces_enumerated ==
     0``, no flag set) without enumerating anything.
@@ -251,22 +233,18 @@ def stream_segment_outcomes(
         yield outcome
         return
 
-    def traces():
-        return enumerate_traces(
-            hb,
-            epsilon,
-            clamp_lo=clamp_lo,
-            clamp_hi=clamp_hi,
-            limit=max_traces,
-            backend=backend,
-            base_valuation=base_valuation,
-            frontier_props=frontier_props,
-            timestamp_samples=timestamp_samples,
-            budget=budget,
-            root_branches=root_branches,
-        )
-
-    trace_iter = traces() if cache_key is None else shared_traces(cache_key, traces)
+    trace_iter = enumerate_traces(
+        hb,
+        epsilon,
+        clamp_lo=clamp_lo,
+        clamp_hi=clamp_hi,
+        limit=max_traces,
+        backend=backend,
+        base_valuation=base_valuation,
+        frontier_props=frontier_props,
+        timestamp_samples=timestamp_samples,
+        budget=budget,
+    )
     columnar = _columnar_enabled()
     kernel = ColumnarSegmentProgressor(pairs) if columnar else None
     # Legacy path: one anchor-shift per distinct trace start time, not
@@ -333,148 +311,4 @@ def enumerate_segment_outcomes(
         hb, epsilon, carried, anchor, boundary, **kwargs
     ):
         pass
-    return outcome
-
-
-def partition_branches(
-    branches: Sequence[tuple[int, int]], parts: int
-) -> list[list[tuple[int, int]]]:
-    """Round-robin split of the root frontier into ``parts`` sub-tasks.
-
-    Round-robin (not contiguous chunks) because `_diverse_first` front-
-    loads the verdict-flipping timestamps: striping spreads the expensive
-    early branches across workers instead of handing them all to part 0.
-    """
-    parts = max(1, min(parts, len(branches)))
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(parts)]
-    for index, branch in enumerate(branches):
-        groups[index % parts].append(branch)
-    return groups
-
-
-def partitioned_segment_outcomes(
-    submit,
-    parts: int,
-    hb: HappenedBefore | HappenedBeforeView,
-    epsilon: int,
-    carried: Mapping[Formula, int] | Sequence[tuple[int, int]],
-    anchor: int | None,
-    boundary: int,
-    clamp_lo: int | None = None,
-    clamp_hi: int | None = None,
-    max_traces: int | None = None,
-    backend: str = "dfs",
-    base_valuation: Mapping[str, float] | None = None,
-    frontier_props: Mapping[str, frozenset[str]] | None = None,
-    timestamp_samples: int | None = None,
-    budget: Budget | None = None,
-) -> SegmentOutcome:
-    """Enumerate one segment with its root frontier fanned across workers.
-
-    The DFS tree splits at the root: each ``(event, timestamp)`` first
-    choice heads an independent subtree, so a partition of
-    :func:`~repro.encoding.enumerator.root_frontier` enumerates disjoint
-    trace sets whose union is exactly the serial walk.  Verdict multisets
-    are order-independent, so summing the per-part ``(id, count)``
-    columns reproduces the serial :class:`SegmentOutcome` bit-for-bit
-    (when no part truncates).
-
-    ``submit`` takes a :class:`~repro.service.tasks.SegmentPartTask` and
-    returns a future with ``done()``/``result()``/``cancel()`` — the
-    ``MonitorService.submit_segment_part`` surface.  The carried column
-    crosses the wire in its packed form (see
-    :func:`~repro.progression.columnar.pack_carried_column`): sliced, not
-    materialized.  Falls back to the serial walk when the frontier or
-    ``parts`` is too small to split, or the backend is not the DFS.
-
-    Preemption propagates: tripping ``budget`` while waiting cancels
-    every in-flight sub-task (the service drops pending parts and
-    preempts running ones) and returns the merged partial outcome with
-    ``preempted=True``; a worker-side preemption of any part flags the
-    merged outcome the same way.
-    """
-    if budget is not None and max_traces is None:
-        max_traces = budget.trace_limit()
-    branches = (
-        root_frontier(hb, epsilon, clamp_lo, clamp_hi, timestamp_samples)
-        if backend == "dfs"
-        else []
-    )
-    if parts < 2 or len(branches) < 2:
-        return enumerate_segment_outcomes(
-            hb,
-            epsilon,
-            carried,
-            anchor,
-            boundary,
-            clamp_lo=clamp_lo,
-            clamp_hi=clamp_hi,
-            max_traces=max_traces,
-            backend=backend,
-            base_valuation=base_valuation,
-            frontier_props=frontier_props,
-            timestamp_samples=timestamp_samples,
-            budget=budget,
-        )
-
-    from repro.service.tasks import SegmentPartTask  # cycle: tasks -> monitor -> here
-
-    pairs = carried_column(carried)
-    column = pack_carried_column(pairs)
-    events = list(hb.events)
-    masks = [hb.predecessors_mask(i) for i in range(len(events))]
-    futures = []
-    for group in partition_branches(branches, parts):
-        task = SegmentPartTask(
-            events=events,
-            predecessor_masks=masks,
-            epsilon=epsilon,
-            carried_column=column,
-            anchor=anchor,
-            boundary=boundary,
-            clamp_lo=clamp_lo,
-            clamp_hi=clamp_hi,
-            max_traces=max_traces,
-            base_valuation=dict(base_valuation) if base_valuation else None,
-            frontier_props=dict(frontier_props) if frontier_props else None,
-            timestamp_samples=timestamp_samples,
-            branches=tuple(group),
-        )
-        futures.append(submit(task))
-
-    outcome = SegmentOutcome()
-    preempted = False
-    try:
-        pending = list(futures)
-        while pending:
-            still_waiting = []
-            for future in pending:
-                if not future.done():
-                    still_waiting.append(future)
-            if budget is not None:
-                budget.checkpoint()
-            if still_waiting:
-                time.sleep(0.002)
-            pending = still_waiting
-    except PreemptedError:
-        preempted = True
-        for future in futures:
-            future.cancel()  # drops pending parts, preempts running ones
-
-    for future in futures:
-        if not future.done():
-            continue
-        try:
-            part_column, part_traces, part_truncated, part_preempted = future.result()
-        except (PreemptedError, CancelledError):
-            # A preempted part (or one dropped before execution after our
-            # cancel) contributes nothing; the merged outcome is flagged.
-            preempted = True
-            continue
-        for fid, count in unpack_carried_column(part_column):
-            outcome.add_id(fid, count)
-        outcome.traces_enumerated += part_traces
-        outcome.truncated = outcome.truncated or part_truncated
-        preempted = preempted or part_preempted
-    outcome.preempted = preempted
     return outcome

@@ -56,4 +56,5 @@ class EnumerationMonitor:
             raise MonitorError("no admissible trace — inconsistent computation")
         if self._max_traces is not None and enumerated >= self._max_traces:
             result.exhaustive = False
+            result.verdict_set_complete = False
         return result

@@ -11,7 +11,8 @@ epsilon skew window, and formula size — preferring the exact memoized
 enough for its bitmask recursion and falling back to the paper's
 segmented :class:`~repro.monitor.smt_monitor.SmtMonitor` otherwise.
 The registry is open: downstream code can plug in engines with
-:func:`register_monitor` and the parallel orchestrator will pick them up.
+:func:`register_monitor`, and ``MonitorService`` workers (which build
+every engine through ``make_monitor``) will pick them up.
 """
 
 from __future__ import annotations

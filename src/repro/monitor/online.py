@@ -201,6 +201,7 @@ class OnlineMonitor:
             )
         if outcome.truncated:
             self._result.exhaustive = False
+            self._result.verdict_set_complete = False
         self._result.segment_reports.append(
             SegmentReport(
                 index=self._segment_counter,

@@ -5,7 +5,7 @@ solver-backed monitor, the memoized fast monitor, the explicit
 enumeration baseline, and the online wrapper — answers the same
 question: *given a partially synchronous computation, what is the
 verdict multiset of the specification?*  Callers (benchmarks, the
-experiment script, the parallel orchestrator) should depend on this
+experiment script, the monitor service) should depend on this
 protocol plus :func:`~repro.monitor.factory.make_monitor` instead of
 hard-coding a concrete engine.
 """

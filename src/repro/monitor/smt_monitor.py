@@ -16,7 +16,6 @@ concatenate monotonically — the trade-off Section V-C motivates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.distributed.computation import DistributedComputation
 from repro.distributed.hb import HappenedBefore
@@ -24,12 +23,10 @@ from repro.distributed.segmentation import Segment, segment_computation
 from repro.encoding.trace_extractor import segment_carry
 from repro.encoding.verdict_enumerator import (
     DEFAULT_TRACE_BUDGET,
-    carried_column,
     enumerate_segment_outcomes,
-    partitioned_segment_outcomes,
 )
 from repro.errors import MonitorError, PreemptedError
-from repro.mtl.ast import Formula, formula_of, intern_id
+from repro.mtl.ast import Formula, intern_id
 from repro.monitor.verdicts import MonitorResult, SegmentReport
 from repro.progression.budget import Budget
 from repro.progression.progressor import close, close_id
@@ -43,30 +40,14 @@ class PipelineState:
     column (``(arena id, trace-class count)`` pairs — the kernel's native
     currency, so a residual crossing a boundary builds no object), the
     time anchor the residuals are anchored at, and the accumulated
-    valuation/frontier context of the already-consumed prefix.  Exposing
-    it lets the parallel orchestrator pause the pipeline at a segment
-    boundary, shard the carried residuals across workers, and resume each
-    shard independently.
+    valuation/frontier context of the already-consumed prefix.  It never
+    leaves the process: arena ids are process-local.
     """
 
     column: list[tuple[int, int]]
     anchor: int | None = None
     base_valuation: dict[str, float] = field(default_factory=dict)
     frontier: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    @property
-    def carried(self) -> dict[Formula, int]:
-        """The column as canonical formulas, materialized per read — for
-        whatever leaves the process or the API (shard tasks, reports)."""
-        return {formula_of(fid): count for fid, count in self.column}
-
-    def __reduce__(self):
-        # Arena ids are process-local: a pickled state ships formulas.
-        return (_restore_state, (self.carried, self.anchor, self.base_valuation, self.frontier))
-
-
-def _restore_state(carried, anchor, base_valuation, frontier) -> PipelineState:
-    return PipelineState(carried_column(carried), anchor, base_valuation, frontier)
 
 
 class SmtMonitor:
@@ -96,12 +77,6 @@ class SmtMonitor:
         provably complete ({True, False} is maximal) but the per-verdict
         trace counts are partial.  Set False for count-exact runs (used
         by the baseline-equivalence tests).
-    cache_traces:
-        Share segment-trace enumeration through the process-local
-        :mod:`~repro.encoding.trace_cache`.  Enabled by segment-parallel
-        shard workers (shards of one computation enumerate identical
-        segment traces); semantics are unchanged, only repeated
-        enumeration work is skipped.
     """
 
     def __init__(
@@ -113,7 +88,6 @@ class SmtMonitor:
         backend: str = "dfs",
         saturate: bool = True,
         timestamp_samples: int | None = None,
-        cache_traces: bool = False,
     ) -> None:
         if segments < 1:
             raise MonitorError(f"segments must be >= 1, got {segments}")
@@ -124,49 +98,35 @@ class SmtMonitor:
         self._backend = backend
         self._saturate = saturate
         self._timestamp_samples = timestamp_samples
-        self._cache_traces = cache_traces
-        # Client-side intra-segment fan-out, set by attach_partitioner().
-        # Never pickled: shard tasks rebuild SmtMonitor from kwargs.
-        self._partition_submit = None
-        self._partition_parts = 0
 
     @property
     def formula(self) -> Formula:
         return self._formula
 
-    def attach_partitioner(self, submit, parts: int) -> None:
-        """Fan each segment's root-frontier enumeration across a pool.
-
-        ``submit`` takes a :class:`~repro.service.tasks.SegmentPartTask`
-        and returns a future (``MonitorService.submit_segment_part``);
-        ``parts`` caps the sub-tasks per segment.  Segments that need
-        serial semantics (the saturating last segment, ``max_distinct``
-        early-stop, non-DFS backends) fall back to the serial walk —
-        verdict multisets stay bit-identical either way.
-        """
-        if parts < 2:
-            raise MonitorError(f"parts must be >= 2, got {parts}")
-        self._partition_submit = submit
-        self._partition_parts = parts
-
-    def detach_partitioner(self) -> None:
-        """Return every segment to the serial enumeration path."""
-        self._partition_submit = None
-        self._partition_parts = 0
-
     def run(
         self, computation: DistributedComputation, budget: Budget | None = None
     ) -> MonitorResult:
         """Monitor a complete computation and return its verdict set."""
+        result = MonitorResult(self._formula)
         if len(computation) == 0:
             # No observations at all: close the specification directly
             # (strong F/U obligations are violated, weak G satisfied).
-            result = MonitorResult(self._formula)
             result.record(close(self._formula))
             return result
-        return self.run_from(computation, self.initial_state(), start=0, budget=budget)
+        hb = computation.happened_before()
+        segments = self.segments_of(computation)
+        state = self.initial_state()
+        for order in range(len(segments)):
+            if not state.column:
+                break
+            state = self.step(
+                hb, segments, order, state, result, computation.epsilon, budget=budget
+            )
+        for fid, count in state.column:
+            result.record(close_id(fid), count)
+        return result
 
-    # -- resumable pipeline ------------------------------------------------------
+    # -- the segment fold ----------------------------------------------------------
 
     def initial_state(self) -> PipelineState:
         """The pipeline state before any segment has been consumed."""
@@ -203,57 +163,23 @@ class SmtMonitor:
         view = hb.restricted_to(indices)
         clamp_lo = None if is_first else segment.lo
         clamp_hi = None if is_last else segment.hi
-        saturate_final = self._saturate and is_last
-        # The saturation and max_distinct early-stops depend on the serial
-        # enumeration order, so those segments keep the serial walk.
-        partitioned = (
-            self._partition_submit is not None
-            and self._backend == "dfs"
-            and not saturate_final
-            and self._max_distinct is None
+        outcome = enumerate_segment_outcomes(
+            view,
+            epsilon,
+            state.column,
+            state.anchor,
+            boundary=segment.hi,
+            clamp_lo=clamp_lo,
+            clamp_hi=clamp_hi,
+            max_traces=self._max_traces,
+            max_distinct=self._max_distinct,
+            backend=self._backend,
+            base_valuation=state.base_valuation,
+            frontier_props=state.frontier,
+            saturate_final=self._saturate and is_last,
+            timestamp_samples=self._timestamp_samples,
+            budget=budget,
         )
-        if partitioned:
-            outcome = partitioned_segment_outcomes(
-                self._partition_submit,
-                self._partition_parts,
-                view,
-                epsilon,
-                state.column,
-                state.anchor,
-                boundary=segment.hi,
-                clamp_lo=clamp_lo,
-                clamp_hi=clamp_hi,
-                max_traces=self._max_traces,
-                backend=self._backend,
-                base_valuation=state.base_valuation,
-                frontier_props=state.frontier,
-                timestamp_samples=self._timestamp_samples,
-                budget=budget,
-            )
-        else:
-            cache_key = None
-            if self._cache_traces:
-                cache_key = self._segment_cache_key(
-                    view, segment, state, epsilon, clamp_lo, clamp_hi
-                )
-            outcome = enumerate_segment_outcomes(
-                view,
-                epsilon,
-                state.column,
-                state.anchor,
-                boundary=segment.hi,
-                clamp_lo=clamp_lo,
-                clamp_hi=clamp_hi,
-                max_traces=self._max_traces,
-                max_distinct=self._max_distinct,
-                backend=self._backend,
-                base_valuation=state.base_valuation,
-                frontier_props=state.frontier,
-                saturate_final=saturate_final,
-                timestamp_samples=self._timestamp_samples,
-                cache_key=cache_key,
-                budget=budget,
-            )
         if outcome.preempted:
             result.exhaustive = False
             result.verdict_set_complete = False
@@ -299,70 +225,6 @@ class SmtMonitor:
             base_valuation=base_valuation,
             frontier=frontier,
         )
-
-    def _segment_cache_key(
-        self,
-        view,
-        segment: Segment,
-        state: PipelineState,
-        epsilon: int,
-        clamp_lo: int | None,
-        clamp_hi: int | None,
-    ):
-        """Everything that shapes the segment's trace enumeration.
-
-        Value-based (not identity-based) so shards that unpickled their
-        own copy of the computation still share entries.  The view's
-        predecessor masks capture the happened-before topology exactly as
-        enumeration consumes it (process, epsilon, *and message* edges) —
-        two segments with identical event fields but different message
-        edges must not share traces.  The carried *residuals* are
-        deliberately absent: they differ per shard and do not affect
-        which traces the segment admits.
-        """
-        events_key = tuple(
-            (e.process, e.seq, e.local_time, e.props, tuple(sorted(e.deltas.items())))
-            for e in segment.events
-        )
-        topology_key = tuple(
-            view.predecessors_mask(i) for i in range(len(segment.events))
-        )
-        return (
-            events_key,
-            topology_key,
-            epsilon,
-            clamp_lo,
-            clamp_hi,
-            self._backend,
-            self._timestamp_samples,
-            self._max_traces,
-            tuple(sorted(state.base_valuation.items())),
-            tuple(sorted(state.frontier.items())),
-        )
-
-    def run_from(
-        self,
-        computation: DistributedComputation,
-        state: PipelineState,
-        start: int = 0,
-        budget: Budget | None = None,
-    ) -> MonitorResult:
-        """Run segments ``start..`` from a given carried state and close the
-        leftover residuals.  ``run()`` is ``run_from(c, initial_state(), 0)``;
-        parallel shard workers call it with ``start > 0`` and a slice of the
-        carried residuals."""
-        result = MonitorResult(self._formula)
-        hb = computation.happened_before()
-        segments = self.segments_of(computation)
-        for order in range(start, len(segments)):
-            if not state.column:
-                break
-            state = self.step(
-                hb, segments, order, state, result, computation.epsilon, budget=budget
-            )
-        for fid, count in state.column:
-            result.record(close_id(fid), count)
-        return result
 
 
 def monitor(

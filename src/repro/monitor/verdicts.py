@@ -112,9 +112,9 @@ class MonitorResult:
 
         Verdict counts add (scaled by ``weight`` trace classes), segment
         reports concatenate, and the exactness flags combine
-        conservatively.  Used by the parallel orchestrator to combine the
-        results of independently monitored shards of one computation (or
-        of disjoint computations sharing a formula).
+        conservatively.  Used by :meth:`BatchReport.merged
+        <repro.service.reports.BatchReport.merged>` to combine the results
+        of disjoint computations sharing a formula.
         """
         for verdict, count in other.verdict_counts.items():
             self.record(verdict, count * weight)

@@ -202,11 +202,9 @@ ARENA = InternArena()
 def _reset_intern_lock_after_fork() -> None:
     """Give forked children a fresh intern lock.
 
-    Worker pools may fork from a background thread while another thread
-    is mid-``_intern_node`` (the segment-parallel orchestrator overlaps
-    pool spawning with prefix enumeration); the child would inherit the
-    lock in its held state and deadlock on its first formula
-    construction.  The table itself is GIL-consistent at fork time.
+    Worker pools may fork from one thread while another thread is
+    mid-``_intern_node``; the child would inherit the lock in its held
+    state and deadlock on its first formula construction.  The table itself is GIL-consistent at fork time.
     """
     global _INTERN_LOCK
     _INTERN_LOCK = threading.Lock()
@@ -320,9 +318,9 @@ def intern_formula(formula: "Formula") -> "Formula":
 def intern_id(formula: "Formula") -> int:
     """Dense arena id of the formula's structural equivalence class.
 
-    Cheap total order for deterministic tie-breaking (residual-shard
-    splits sort by it instead of stringifying formulas) and the index
-    the columnar progression kernel runs on; ids are stable per
+    Cheap total order for deterministic tie-breaking (sorting by it
+    instead of stringifying formulas) and the index the columnar
+    progression kernel runs on; ids are stable per
     structure within a process (even across GC of the object) but *not*
     across processes or runs.
     """

@@ -42,7 +42,7 @@ once.  Both strategies return the same residual ids.
 
 No :class:`~repro.mtl.ast.Formula` objects are touched anywhere in the
 loop; :func:`~repro.mtl.ast.formula_of` materializes results only at
-API boundaries (segment reports, snapshots, shard tasks).
+API boundaries (segment reports, snapshots).
 """
 
 from __future__ import annotations
@@ -75,14 +75,11 @@ from repro.mtl.ast import (
     id_lnot,
     id_lor,
     id_until,
-    intern_formula,
 )
 from repro.mtl.trace import TimedTrace
 
 __all__ = [
     "ColumnarSegmentProgressor",
-    "pack_carried_column",
-    "unpack_carried_column",
     "plan_cache_stats",
     "clear_plan_cache",
 ]
@@ -816,88 +813,3 @@ class ColumnarSegmentProgressor:
                     fid = shifts[key] = self.shift_root(key[0], d)
             merged[fid] = merged.get(fid, 0) + count
         return list(merged.items())
-
-
-# -- carried-column wire form -------------------------------------------------------
-#
-# Arena ids are process-local, so a carried ``(id, count)`` column cannot
-# cross the wire as ids.  The packed form ships the *structure* instead:
-# the reachable closure of the roots as plain rows in ascending-id (=
-# topological) order, each row referring to its children by local
-# position.  The receiver replays the rows through ``ARENA.row_id`` —
-# signature-level interning, no Formula objects materialized on either
-# side.  Predicate atoms carry arbitrary callables that only pickle can
-# move, so any closure containing one falls back to an object payload.
-
-_COLUMN_ROWS = "rows"
-_COLUMN_OBJECTS = "objects"
-
-
-def pack_carried_column(pairs: list[tuple[int, int]]):
-    """Pack a carried ``(arena id, count)`` column for the wire.
-
-    Returns ``("rows", row_tuple, ((root_position, count), ...))`` in the
-    object-free fast shape, or ``("objects", [(Formula, count), ...])``
-    when the closure contains a predicate atom (pickle fallback).
-    """
-    universe = _reachable(fid for fid, _ in pairs)
-    if any(ARENA.kinds[fid] == KIND_PRED for fid in universe):
-        return (
-            _COLUMN_OBJECTS,
-            [(formula_of(fid), count) for fid, count in pairs],
-        )
-    local = {fid: idx for idx, fid in enumerate(universe)}
-    rows = tuple(
-        (
-            ARENA.kinds[fid],
-            ARENA.names[fid],
-            ARENA.iv_lo[fid],
-            ARENA.iv_hi[fid],
-            tuple(local[c] for c in ARENA.children(fid)),
-        )
-        for fid in universe
-    )
-    return (
-        _COLUMN_ROWS,
-        rows,
-        tuple((local[fid], count) for fid, count in pairs),
-    )
-
-
-def unpack_carried_column(payload) -> list[tuple[int, int]]:
-    """Re-intern a packed carried column into local ``(id, count)`` pairs.
-
-    Rows replay in ascending order, so every child is interned before its
-    parent — exactly the invariant ``ARENA.row_id`` signature keys need.
-    """
-    if payload[0] == _COLUMN_OBJECTS:
-        return [
-            (intern_formula(formula)._intern_id, count)
-            for formula, count in payload[1]
-        ]
-    if payload[0] != _COLUMN_ROWS:
-        raise MonitorError(f"unknown carried-column payload {payload[0]!r}")
-    _, rows, root_pairs = payload
-    ids: list[int] = []
-    for kind, name, iv_lo, iv_hi, child_locals in rows:
-        children = tuple(ids[c] for c in child_locals)
-        if kind == KIND_TRUE:
-            ids.append(TRUE_ID)
-            continue
-        if kind == KIND_FALSE:
-            ids.append(FALSE_ID)
-            continue
-        if kind == KIND_ATOM:
-            key: tuple = (KIND_ATOM, name)
-        elif kind == KIND_NOT:
-            key = (KIND_NOT, children[0])
-        elif kind == KIND_AND or kind == KIND_OR:
-            key = (kind,) + children
-        elif kind == KIND_UNTIL:
-            key = (KIND_UNTIL, children[0], children[1], iv_lo, iv_hi)
-        elif kind == KIND_ALWAYS or kind == KIND_EVENTUALLY:
-            key = (kind, children[0], iv_lo, iv_hi)
-        else:
-            raise MonitorError(f"cannot unpack arena row of kind {kind}")
-        ids.append(ARENA.row_id(key, kind, children, iv_lo, iv_hi, name))
-    return [(ids[pos], count) for pos, count in root_pairs]

@@ -33,7 +33,7 @@ from repro.service.rebalance import Migration, PoolView, Rebalancer
 from repro.service.reports import BatchReport
 from repro.service.service import MonitorService, default_workers
 from repro.service.session import Session, SessionStatus
-from repro.service.tasks import BatchItem, MonitorTask, SegmentShardTask
+from repro.service.tasks import BatchItem, MonitorTask
 
 __all__ = [
     "BatchItem",
@@ -46,7 +46,6 @@ __all__ = [
     "PoolView",
     "Rebalancer",
     "ReplayJournal",
-    "SegmentShardTask",
     "Session",
     "SessionStatus",
     "default_workers",

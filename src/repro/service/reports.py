@@ -1,10 +1,4 @@
-"""Batch aggregation shared by the service and the compat orchestrator.
-
-:class:`BatchReport` started life in ``repro.parallel.orchestrator``; it
-is re-homed here because the persistent :class:`~repro.service.MonitorService`
-is now the primary producer, while ``repro.parallel`` keeps re-exporting
-it for existing callers (bench wiring, tests, downstream code).
-"""
+"""Batch aggregation for :meth:`MonitorService.map <repro.service.MonitorService.map>`."""
 
 from __future__ import annotations
 

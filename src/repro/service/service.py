@@ -67,12 +67,7 @@ from repro.service.durability import CheckpointConfig, resolve_checkpoint
 from repro.service.futures import MonitorFuture
 from repro.service.reports import BatchReport
 from repro.service.session import Session
-from repro.service.tasks import (
-    BatchItem,
-    MonitorTask,
-    SegmentPartTask,
-    SegmentShardTask,
-)
+from repro.service.tasks import BatchItem, MonitorTask
 from repro.transport import (
     CONTROL_ID,
     DROPPED_BEFORE_EXECUTION,
@@ -89,10 +84,7 @@ from repro.transport import (
 #: Only pure computations qualify: session ops mutate worker-held stream
 #: state, so replaying one elsewhere would corrupt the stream (sessions
 #: have their own recovery — checkpoints and journal replay).
-#: ``segment_part`` is pure by construction — it enumerates a shipped
-#: slice of one segment's root frontier against a shipped residual
-#: column, touching no worker-held state.
-STEALABLE_OPS = ("monitor", "shard", "segment_part")
+STEALABLE_OPS = ("monitor",)
 
 #: Registry re-dial backoff: first retry delay and its cap, seconds.
 #: Aliases into the shared :data:`repro.retry.REDIAL_POLICY` — the
@@ -617,26 +609,6 @@ class MonitorService:
         wall = time.perf_counter() - started
         items.sort(key=lambda item: item.index)
         return BatchReport(items=items, workers=self._workers, wall_seconds=wall)
-
-    def submit_shard(self, task: SegmentShardTask) -> MonitorFuture:
-        """Ship one segment-parallel shard; resolves to a
-        :class:`~repro.monitor.verdicts.MonitorResult`.  Used by the
-        :class:`~repro.parallel.ParallelMonitor` compatibility wrapper."""
-        self._ensure_open()
-        return self._send(self._pick_worker(), "shard", task)
-
-    def submit_segment_part(self, task: SegmentPartTask) -> MonitorFuture:
-        """Ship one root-frontier slice of a single segment's enumeration.
-
-        Resolves to the ``(packed column, traces, truncated, preempted)``
-        tuple of :func:`~repro.service.tasks.run_segment_part`.  This is
-        the fan-out primitive behind intra-segment parallel enumeration
-        (see :func:`~repro.encoding.verdict_enumerator.partitioned_segment_outcomes`);
-        like batch monitoring it is pure, so it participates in work
-        stealing.
-        """
-        self._ensure_open()
-        return self._send(self._pick_worker(), "segment_part", task)
 
     # -- session surface ------------------------------------------------------------
 

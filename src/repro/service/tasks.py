@@ -5,9 +5,6 @@ Everything here must be importable and picklable: these functions run in
 plain data — computations (events pickle through
 :func:`~repro.distributed.event.make_event`), formulas (value-equal
 dataclasses), and keyword dictionaries.
-
-(Re-homed from ``repro.parallel.worker``, which keeps re-exporting these
-names for existing callers.)
 """
 
 from __future__ import annotations
@@ -16,13 +13,10 @@ import inspect
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from repro.distributed.computation import DistributedComputation
-from repro.distributed.event import Event
-from repro.encoding.verdict_enumerator import carried_column
 from repro.monitor.factory import make_monitor
-from repro.monitor.smt_monitor import PipelineState, SmtMonitor
 from repro.monitor.verdicts import MonitorResult
 from repro.mtl.ast import Formula
 from repro.progression.budget import Budget
@@ -53,65 +47,6 @@ class BatchItem:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-@dataclass
-class SegmentShardTask:
-    """Resume the segment pipeline from ``start`` with a residual shard."""
-
-    computation: DistributedComputation
-    formula: Formula
-    kwargs: dict[str, Any]
-    carried: dict[Formula, int]
-    anchor: int | None
-    base_valuation: dict[str, float]
-    frontier: dict[str, frozenset[str]]
-    start: int
-
-
-@dataclass
-class SegmentPartTask:
-    """One root-frontier slice of a single segment's enumeration.
-
-    Carries everything :func:`run_segment_part` needs to enumerate its
-    ``branches`` of the DFS root frontier independently: the segment's
-    events and happened-before topology (as predecessor bitmasks — the
-    :class:`FrozenTopology` shim reconstructs the enumeration view), the
-    carried residual column in its packed wire form (see
-    :func:`~repro.progression.columnar.pack_carried_column` — sliced,
-    never materialized), and the clamp/boundary window of the segment.
-    """
-
-    events: list[Event]
-    predecessor_masks: list[int]
-    epsilon: int
-    carried_column: Any
-    anchor: int | None
-    boundary: int
-    clamp_lo: int | None
-    clamp_hi: int | None
-    max_traces: int | None
-    base_valuation: dict[str, float] | None
-    frontier_props: dict[str, frozenset[str]] | None
-    timestamp_samples: int | None
-    branches: tuple[tuple[int, int], ...]
-
-
-class FrozenTopology:
-    """A happened-before view rebuilt from shipped predecessor masks.
-
-    Quacks like :class:`~repro.distributed.hb.HappenedBeforeView` as far
-    as the DFS enumerator cares: ``events`` and ``predecessors_mask``.
-    """
-
-    __slots__ = ("events", "_masks")
-
-    def __init__(self, events: Sequence[Event], masks: Sequence[int]) -> None:
-        self.events = list(events)
-        self._masks = list(masks)
-
-    def predecessors_mask(self, index: int) -> int:
-        return self._masks[index]
 
 
 def _accepts_budget(run) -> bool:
@@ -156,56 +91,3 @@ def run_monitor_task(task: MonitorTask, budget: Budget | None = None) -> BatchIt
         seconds=time.perf_counter() - started,
         worker=os.getpid(),
     )
-
-
-def run_segment_shard(
-    task: SegmentShardTask, budget: Budget | None = None
-) -> MonitorResult:
-    """Continue the segment pipeline for one shard of carried residuals.
-
-    Trace caching is enabled: shards of the same computation enumerate
-    identical segment traces, so a worker that processes several shards
-    (or repeated runs of one computation) reuses the enumeration instead
-    of redoing it (see :mod:`repro.encoding.trace_cache`).
-    """
-    engine = SmtMonitor(task.formula, cache_traces=True, **task.kwargs)
-    state = PipelineState(
-        column=carried_column(task.carried),
-        anchor=task.anchor,
-        base_valuation=dict(task.base_valuation),
-        frontier=dict(task.frontier),
-    )
-    return engine.run_from(task.computation, state, start=task.start, budget=budget)
-
-
-def run_segment_part(task: SegmentPartTask, budget: Budget | None = None):
-    """Enumerate one slice of a segment's root frontier on a worker.
-
-    Returns ``(packed_column, traces_enumerated, truncated, preempted)``
-    — the progressed residual column re-packed for the trip home, plus
-    the flags the merge folds together.  Worker-side preemption (the
-    request's budget cancelled by a client drop) surfaces as
-    ``preempted=True`` with partial counts, never as an abandoned worker.
-    """
-    from repro.encoding.verdict_enumerator import enumerate_segment_outcomes
-    from repro.progression.columnar import pack_carried_column, unpack_carried_column
-
-    hb = FrozenTopology(task.events, task.predecessor_masks)
-    pairs = unpack_carried_column(task.carried_column)
-    outcome = enumerate_segment_outcomes(
-        hb,
-        task.epsilon,
-        pairs,
-        task.anchor,
-        boundary=task.boundary,
-        clamp_lo=task.clamp_lo,
-        clamp_hi=task.clamp_hi,
-        max_traces=task.max_traces,
-        base_valuation=task.base_valuation,
-        frontier_props=task.frontier_props,
-        timestamp_samples=task.timestamp_samples,
-        budget=budget,
-        root_branches=task.branches,
-    )
-    column = pack_carried_column(list(outcome.id_counts().items()))
-    return (column, outcome.traces_enumerated, outcome.truncated, outcome.preempted)

@@ -11,8 +11,8 @@ backends host it: :func:`service_worker_loop` runs it in a
 for the TCP backend — so the two paths are behaviourally identical by
 construction.
 
-Formula state crossing this boundary — session snapshots, standby
-blobs, shard-task carried dicts — is always *materialized*: the hot
+Formula state crossing this boundary — session snapshots and standby
+blobs — is always *materialized*: the hot
 loop's columnar residual representation (intern-arena ids, see
 :mod:`repro.progression.columnar`) is process-local, so snapshot frames
 carry canonical ``Formula`` objects and re-intern on arrival.  A
@@ -42,14 +42,7 @@ from repro.errors import MonitorError
 from repro.monitor.online import OnlineMonitor
 from repro.progression.budget import Budget
 from repro.service.session import SessionStatus
-from repro.service.tasks import (
-    MonitorTask,
-    SegmentPartTask,
-    SegmentShardTask,
-    run_monitor_task,
-    run_segment_part,
-    run_segment_shard,
-)
+from repro.service.tasks import MonitorTask, run_monitor_task
 from repro.transport.frames import (
     CONTROL_ID,
     DEFAULT_CODEC,
@@ -444,12 +437,6 @@ def _dispatch(
     if op == "monitor":
         task: MonitorTask = payload
         return run_monitor_task(task, budget)
-    if op == "shard":
-        shard: SegmentShardTask = payload
-        return run_segment_shard(shard, budget)
-    if op == "segment_part":
-        part: SegmentPartTask = payload
-        return run_segment_part(part, budget)
     if op == "session_open":
         session_id, formula, epsilon, kwargs = payload
         if session_id in sessions:

@@ -113,8 +113,6 @@ STALE_REQUEST_PREFIX = "ServiceError: stale request id"
 #: one.
 KNOWN_OPS = (
     "monitor",
-    "shard",
-    "segment_part",
     "session_open",
     "session_observe",
     "session_advance",

@@ -10,8 +10,7 @@ from repro.bench.reporting import (
 from repro.bench.runner import SweepPoint
 from repro.monitor.verdicts import MonitorResult
 from repro.mtl import parse
-from repro.parallel.orchestrator import BatchReport
-from repro.parallel.worker import BatchItem
+from repro.service import BatchItem, BatchReport
 
 
 def _item(index: int, verdicts, seconds: float = 0.1, error: str | None = None) -> BatchItem:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import runner
 from repro.bench.runner import (
     SweepPoint,
     batch_sweep_point,
@@ -23,6 +24,10 @@ from repro.bench.runner import (
     sweep,
 )
 from repro.bench.workload import WorkloadSpec, formula_for, generate_workload
+from repro.distributed.computation import DistributedComputation
+from repro.errors import MonitorError
+from repro.monitor.smt_monitor import SmtMonitor
+from repro.mtl import parse
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCHMARKS_DIR = REPO_ROOT / "benchmarks"
@@ -76,6 +81,70 @@ class TestBatch:
         assert not report.errors
         assert report.wall_seconds > 0
         assert sum(report.verdict_totals.values()) > 0
+        assert report.merged(phi).verdict_counts == report.verdict_totals
+
+    def test_order_and_totals(self):
+        spec = parse("a U[0,6) b")
+        comps = self._batch()
+        report = run_batch_timed(spec, comps, workers=2, saturate=False)
+        assert [item.index for item in report.items] == list(range(len(comps)))
+        assert not report.errors
+        serial = [SmtMonitor(spec, saturate=False).run(c).verdict_counts for c in comps]
+        assert [item.result.verdict_counts for item in report.items] == serial
+        totals = report.verdict_totals
+        for verdict in (True, False):
+            assert totals.get(verdict, 0) == sum(c.get(verdict, 0) for c in serial)
+        assert report.wall_seconds > 0
+        assert 0.0 <= report.utilization <= 1.0
+
+    def test_poisoned_item_is_captured(self):
+        """One computation over the fast monitor's event cap must not kill
+        the batch: its error is captured, every other item succeeds."""
+        spec = parse("G[0,400) (a | !a)")
+        good = DistributedComputation.from_event_lists(1, {"P1": [(0, "a"), (1, "a")]})
+        poisoned = DistributedComputation(1)
+        for i in range(301):
+            poisoned.add_event("P1", i, "a")
+        report = run_batch_timed(spec, [good, poisoned, good], monitor="fast", workers=2)
+        assert len(report.items) == 3
+        assert report.items[0].ok and report.items[2].ok
+        assert not report.items[1].ok
+        assert "MonitorError" in report.items[1].error
+        assert report.errors == [(1, report.items[1].error)]
+
+    def test_merged_result(self):
+        spec = parse("F[0,8) b")
+        report = run_batch_timed(spec, self._batch(), workers=1, saturate=False)
+        merged = report.merged(spec)
+        assert merged.verdict_counts == report.verdict_totals
+
+    def test_auto_kind_batch(self):
+        phi = parse("a U[0,6) b")
+        report = run_batch_timed(phi, self._batch()[:2], monitor="auto", workers=2)
+        assert not report.errors
+        assert report.workers == 2
+
+    def test_empty_batch(self):
+        report = run_batch_timed(parse("F[0,5) a"), [])
+        assert report.items == []
+        assert report.verdict_totals == {}
+
+    def test_single_worker_never_forks(self, monkeypatch):
+        def boom(*args, **kwargs):  # pragma: no cover - should not run
+            raise AssertionError("workers=1 must not create a pool")
+
+        monkeypatch.setattr(runner, "MonitorService", boom)
+        phi = formula_for("phi4", 1, window_ms=500)
+        report = run_batch_timed(
+            phi, self._batch(), workers=1, segments=2, max_traces_per_segment=200
+        )
+        assert report.workers == 1
+        assert not report.errors
+        assert report.merged(phi).verdict_counts == report.verdict_totals
+
+    def test_invalid_workers(self):
+        with pytest.raises(MonitorError):
+            run_batch_timed(parse("F[0,5) a"), self._batch(), workers=0)
 
     def test_batch_sweep_point(self):
         phi = formula_for("phi4", 1, window_ms=500)

@@ -1,7 +1,10 @@
 """Unit tests for events and their timestamp windows."""
 
+import pickle
+
 import pytest
 
+from repro.distributed.computation import DistributedComputation
 from repro.distributed.event import Event, make_event
 from repro.errors import ComputationError
 
@@ -67,3 +70,15 @@ class TestEquality:
 
     def test_str_format(self):
         assert str(make_event("P1", 2, 5, "a")) == "P1[2]@5:a"
+
+
+class TestPickling:
+    def test_computation_pickles(self):
+        """Events (with mappingproxy deltas) must survive the pool boundary."""
+        computation = DistributedComputation(2)
+        computation.add_event("P1", 0, "a", {"to.alice": 1.0})
+        computation.add_event("P2", 1, "b")
+        computation.happened_before()  # include the cached closure
+        clone = pickle.loads(pickle.dumps(computation))
+        assert clone.events == computation.events
+        assert dict(clone.events[0].deltas) == {"to.alice": 1.0}

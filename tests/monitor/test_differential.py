@@ -13,6 +13,7 @@ import os
 import pickle
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.monitor.baseline import EnumerationMonitor
@@ -20,7 +21,7 @@ from repro.monitor.fast import FastMonitor
 from repro.monitor.online import OnlineMonitor
 from repro.monitor.smt_monitor import SmtMonitor
 from repro.monitor.verdicts import MonitorResult
-from repro.progression.progressor import close
+from repro.progression.progressor import close_id
 
 from tests.conftest import formulas, small_computations
 from tests.mtl.test_interning import structural_clone
@@ -98,7 +99,9 @@ def _columnar(enabled: bool):
 
 
 def _pipeline_trajectory(formula, computation, segments):
-    """Verdict counts plus the carried residual dict after *every* segment.
+    """Verdict counts plus the carried ``{arena id: count}`` after *every*
+    segment (ids are canonical per structure within a process, so equal
+    dicts mean equal residual formulas).
 
     Drives the resumable ``step`` API directly so the intermediate
     carried sets — not just the final verdicts — are comparable between
@@ -111,12 +114,12 @@ def _pipeline_trajectory(formula, computation, segments):
     state = engine.initial_state()
     carried_per_segment = []
     for order in range(len(segs)):
-        if not state.carried:
+        if not state.column:
             break
         state = engine.step(hb, segs, order, state, result, computation.epsilon)
-        carried_per_segment.append(dict(state.carried))
-    for residual, count in state.carried.items():
-        result.record(close(residual), count)
+        carried_per_segment.append(dict(state.column))
+    for fid, count in state.column:
+        result.record(close_id(fid), count)
     return result.verdict_counts, carried_per_segment
 
 
@@ -172,3 +175,35 @@ def test_columnar_snapshot_restores_onto_object_path(computation, formula):
         result = run_split(*flags)
         assert result.verdict_counts == baseline.verdict_counts
         assert result.verdicts == baseline.verdicts
+
+
+#: Every monitor with a trace budget, built with a given budget.
+_BUDGETED = {
+    "smt": lambda spec, budget: SmtMonitor(
+        spec, saturate=False, max_traces_per_segment=budget
+    ),
+    "baseline": lambda spec, budget: EnumerationMonitor(spec, max_traces=budget),
+    "online": lambda spec, budget: OnlineMonitor(
+        spec, 2, max_traces_per_segment=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100])
+@pytest.mark.parametrize("kind", sorted(_BUDGETED))
+def test_truncated_verdict_set_is_not_claimed_complete(
+    kind, budget, fig3_computation, fig3_formula
+):
+    """A trace budget that cuts enumeration short may miss a verdict, so
+    a truncated result whose verdict set is smaller than the whole one
+    must not claim the set complete."""
+    build = _BUDGETED[kind]
+    whole = build(fig3_formula, None).run(fig3_computation)
+    assert whole.verdict_counts == {True: 112, False: 18}
+    assert whole.exhaustive and whole.verdict_set_complete
+    truncated = build(fig3_formula, budget).run(fig3_computation)
+    assert not truncated.exhaustive
+    if budget == 1:
+        assert truncated.verdicts < whole.verdicts
+    if truncated.verdicts < whole.verdicts:
+        assert not truncated.verdict_set_complete

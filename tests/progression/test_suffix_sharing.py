@@ -26,11 +26,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.computation import DistributedComputation
-from repro.encoding.enumerator import enumerate_traces, root_frontier
+from repro.encoding.enumerator import enumerate_traces
 from repro.encoding.verdict_enumerator import (
     DEFAULT_TRACE_BUDGET,
     enumerate_segment_outcomes,
-    partition_branches,
 )
 from repro.errors import PreemptedError
 from repro.mtl import ast, parse
@@ -85,11 +84,10 @@ def _object_walk(pairs, trace, shift, boundary) -> list[int]:
     window=intervals(),
     reach=intervals(),
     lead=st.integers(0, 3),
-    parts=st.integers(2, 3),
 )
 @settings(max_examples=40, **_SETTINGS)
 def test_shared_kernel_equals_kernel_per_trace_equals_object_walk(
-    computation, f, g, window, reach, lead, parts
+    computation, f, g, window, reach, lead
 ):
     hb = computation.happened_before()
     epsilon = computation.epsilon
@@ -113,19 +111,14 @@ def test_shared_kernel_equals_kernel_per_trace_equals_object_walk(
             assert column == _object_walk(pairs, trace, shift, boundary)
     assert shared.columns_reused + shared.columns_computed == 2 * sum(map(len, traces))
 
-    def outcome(**kwargs) -> dict[int, int]:
+    def outcome() -> dict[int, int]:
         return enumerate_segment_outcomes(
-            hb, epsilon, pairs, anchor, hi, max_traces=200, **CONTEXT, **kwargs
+            hb, epsilon, pairs, anchor, hi, max_traces=200, **CONTEXT
         ).id_counts()
 
     whole = outcome()
     with _columnar(False):
         assert outcome() == whole
-    if len(traces) < 200:  # a truncated part keeps other traces than the whole
-        merged: Counter = Counter()
-        for group in partition_branches(root_frontier(hb, epsilon), parts):
-            merged.update(outcome(root_branches=group))
-        assert merged == whole
 
 
 def _chain_shaped_segment():

@@ -14,7 +14,7 @@ from repro.distributed.computation import DistributedComputation
 from repro.errors import MonitorError, ServiceError
 from repro.monitor import make_monitor
 from repro.mtl import parse
-from repro.service import BatchReport, MonitorFuture, MonitorService
+from repro.service import BatchReport, MonitorFuture, MonitorService, default_workers
 
 
 def _corpus() -> list[tuple[DistributedComputation, object]]:
@@ -163,6 +163,9 @@ class TestLifecycle:
         with MonitorService(workers=1, formula=parse("F[0,5) a")) as service:
             assert not service.closed
         assert service.closed
+
+    def test_default_workers_bounded(self):
+        assert 1 <= default_workers() <= 8
 
     def test_invalid_construction(self):
         with pytest.raises(MonitorError):
